@@ -41,42 +41,13 @@ const graph::CsrGraph& road_graph() {
   return g;
 }
 
-void BM_AdvanceFilter(benchmark::State& state) {
-  const auto& g = rmat_graph();
+// A full Bellman-Ford-style sweep of the advance (bisect keeps
+// everything) from the max-degree vertex: the advance+filter kernel's
+// cost on a skewed-degree (R-MAT) and a uniform-degree (road) graph.
+void advance_sweep(benchmark::State& state, const graph::CsrGraph& g) {
   const auto src = graph::max_degree_vertex(g);
   for (auto _ : state) {
     frontier::NearFarEngine engine(g, src);
-    // One full BFS-like sweep: advance everything each iteration.
-    std::uint64_t edges = 0;
-    while (!engine.frontier_empty()) {
-      edges += engine.advance_and_filter().x2;
-      engine.bisect(graph::kInfiniteDistance);
-    }
-    benchmark::DoNotOptimize(edges);
-    state.counters["edges"] = static_cast<double>(edges);
-  }
-}
-BENCHMARK(BM_AdvanceFilter)->Unit(benchmark::kMillisecond);
-
-// The edge-balanced-partitioning claim (docs/PERFORMANCE.md): on a
-// skewed-degree (R-MAT) graph, vertex-balanced chunks strand whole hubs
-// in one chunk and serialize the iteration on it, while edge-balanced
-// chunks cut the frontier by its degree prefix sums so every chunk owns
-// ~equal edges. Mode 0 = serial reference, 1 = parallel vertex-balanced,
-// 2 = parallel edge-balanced; all three produce bit-identical results.
-// Pool size comes from SSSP_THREADS (or hardware).
-void advance_sweep(benchmark::State& state, const graph::CsrGraph& g) {
-  const auto src = graph::max_degree_vertex(g);
-  frontier::NearFarEngine::Options options;
-  options.parallel = state.range(0) != 0;
-  options.parallel_threshold = 1;  // measure the pipeline, not the gate
-  options.partition = state.range(0) == 1
-                          ? frontier::NearFarEngine::Options::Partition::
-                                kVertexBalanced
-                          : frontier::NearFarEngine::Options::Partition::
-                                kEdgeBalanced;
-  for (auto _ : state) {
-    frontier::NearFarEngine engine(g, src, options);
     std::uint64_t edges = 0;
     while (!engine.frontier_empty()) {
       edges += engine.advance_and_filter().x2;
@@ -87,21 +58,15 @@ void advance_sweep(benchmark::State& state, const graph::CsrGraph& g) {
   }
 }
 
-void BM_AdvanceSweepRmat(benchmark::State& state) {
+void BM_AdvanceFilter(benchmark::State& state) {
   advance_sweep(state, rmat_graph());
 }
-BENCHMARK(BM_AdvanceSweepRmat)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->ArgName("mode")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AdvanceFilter)->Unit(benchmark::kMillisecond);
 
 void BM_AdvanceSweepRoad(benchmark::State& state) {
   advance_sweep(state, road_graph());
 }
-BENCHMARK(BM_AdvanceSweepRoad)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->ArgName("mode")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AdvanceSweepRoad)->Unit(benchmark::kMillisecond);
 
 void BM_NearFarFull(benchmark::State& state) {
   const auto& g = rmat_graph();

@@ -1,13 +1,11 @@
 // Batched multi-source benchmark (docs/PERFORMANCE.md, "Batched
-// multi-source"): K = 8 queries against a resident graph, solved three
+// multi-source"): K = 8 queries against a resident graph, solved two
 // ways on the pinned road and R-MAT shapes the regression harness
 // tracks —
 //   Sequential    K single-source near-far runs back to back (the
 //                 pre-batching serve behavior);
-//   Fused         one union-frontier run with K structure-of-arrays
-//                 distance lanes (each CSR edge fetched once per
-//                 union visit for all K sources);
-//   Independent   K serial lanes work-stolen across the host pool.
+//   Independent   one run_batch: K serial lanes work-stolen across the
+//                 host pool.
 // Every benchmark reports qps (queries per second) plus
 // speedup_vs_sequential against a warmup-excluded sequential baseline
 // measured once per graph (PASGAL idiom: one untimed warmup round,
@@ -76,8 +74,8 @@ void run_sequential(const graph::CsrGraph& g,
 }
 
 // Sequential reference time per graph: one untimed warmup round, then
-// the average of 3 timed rounds. Cached so every strategy benchmark
-// reports its speedup against the same number.
+// the average of 3 timed rounds. Cached so both benchmarks report
+// their speedup against the same number.
 double sequential_seconds(const graph::CsrGraph& g,
                           const std::vector<graph::VertexId>& sources) {
   run_sequential(g, sources);  // warmup (excluded)
@@ -119,14 +117,11 @@ void bench_sequential(benchmark::State& state, const graph::CsrGraph& g,
 }
 
 void bench_batch(benchmark::State& state, const graph::CsrGraph& g,
-                 algo::BatchStrategy strategy, double sequential_s) {
+                 double sequential_s) {
   const auto sources = pick_sources(g);
-  algo::BatchOptions options;
-  options.strategy = strategy;
-  benchmark::DoNotOptimize(
-      algo::run_batch(g, sources, options).lanes.data());  // warmup
+  benchmark::DoNotOptimize(algo::run_batch(g, sources).lanes.data());  // warmup
   for (auto _ : state) {
-    const auto result = algo::run_batch(g, sources, options);
+    const auto result = algo::run_batch(g, sources);
     benchmark::DoNotOptimize(result.lanes.data());
   }
   report_counters(state, sequential_s);
@@ -135,31 +130,19 @@ void bench_batch(benchmark::State& state, const graph::CsrGraph& g,
 void BM_MultiSourceSequentialRoad(benchmark::State& state) {
   bench_sequential(state, road_graph(), road_sequential_seconds());
 }
-void BM_MultiSourceFusedRoad(benchmark::State& state) {
-  bench_batch(state, road_graph(), algo::BatchStrategy::kFused,
-              road_sequential_seconds());
-}
 void BM_MultiSourceIndependentRoad(benchmark::State& state) {
-  bench_batch(state, road_graph(), algo::BatchStrategy::kIndependent,
-              road_sequential_seconds());
+  bench_batch(state, road_graph(), road_sequential_seconds());
 }
 void BM_MultiSourceSequentialRmat(benchmark::State& state) {
   bench_sequential(state, rmat_graph(), rmat_sequential_seconds());
 }
-void BM_MultiSourceFusedRmat(benchmark::State& state) {
-  bench_batch(state, rmat_graph(), algo::BatchStrategy::kFused,
-              rmat_sequential_seconds());
-}
 void BM_MultiSourceIndependentRmat(benchmark::State& state) {
-  bench_batch(state, rmat_graph(), algo::BatchStrategy::kIndependent,
-              rmat_sequential_seconds());
+  bench_batch(state, rmat_graph(), rmat_sequential_seconds());
 }
 
 BENCHMARK(BM_MultiSourceSequentialRoad)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MultiSourceFusedRoad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiSourceIndependentRoad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiSourceSequentialRmat)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MultiSourceFusedRmat)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiSourceIndependentRmat)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -26,7 +26,9 @@ using graph::GraphIoError;
 using graph::IoErrorClass;
 
 constexpr char kMagic[8] = {'T', 'S', 'S', 'S', 'P', 'C', 'K', '1'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2 dropped the parallel-advance fields from the options
+// section; version-1 images are rejected rather than misparsed.
+constexpr std::uint32_t kVersion = 2;
 // Section order is part of the format: meta, options, controller,
 // engine, far queue, iterations, failpoints.
 constexpr std::uint64_t kSectionCount = 7;
@@ -197,8 +199,6 @@ std::string encode_options(const core::SelfTuningOptions& options) {
   append_f64(out, options.initial_delta);
   append_u64(out, options.max_iterations);
   append_u8(out, options.measure_controller_time ? 1 : 0);
-  append_u8(out, options.parallel_advance ? 1 : 0);
-  append_u64(out, options.parallel_threshold);
   append_u8(out, options.adaptive_learning_rate ? 1 : 0);
   append_u8(out, options.rebalance_down ? 1 : 0);
   append_u8(out, options.partition_boundaries ? 1 : 0);
@@ -212,8 +212,6 @@ core::SelfTuningOptions decode_options(Cursor& cursor) {
   options.initial_delta = cursor.read_f64();
   options.max_iterations = cursor.read_u64();
   options.measure_controller_time = cursor.read_u8() != 0;
-  options.parallel_advance = cursor.read_u8() != 0;
-  options.parallel_threshold = cursor.read_u64();
   options.adaptive_learning_rate = cursor.read_u8() != 0;
   options.rebalance_down = cursor.read_u8() != 0;
   options.partition_boundaries = cursor.read_u8() != 0;

@@ -6,18 +6,21 @@
 // frontier, the partitioned far queue (boundaries included), the
 // controller (both SGD models plus the health monitor), the iteration
 // history, the effective run options, and the armed failpoints' RNG
-// streams. Because the pipeline is bit-deterministic at any thread
-// count (PR 3) and the failpoint streams are restored alongside the
-// algorithm state, a resumed run reproduces the uninterrupted run
-// *exactly* — distances, parents, X1-X4 trajectories, and controller
-// CSVs byte-compare.
+// streams. Because every step of the run is deterministic at any
+// thread count (the engine advances serially, and the far queue's
+// pooled bulk push preserves input order) and the failpoint streams
+// are restored alongside the algorithm state, a resumed run reproduces
+// the uninterrupted run *exactly* — distances, parents, X1-X4
+// trajectories, and controller CSVs byte-compare.
 //
-// On-disk format ("TSSSPCK1", version 1): a checksummed header followed
+// On-disk format ("TSSSPCK1", version 2): a checksummed header followed
 // by length-prefixed sections, each trailed by its own FNV-1a 64
 // checksum — the same integrity discipline as the TSSSPGR2 binary graph
-// format. Writes are in-memory-serialize -> tmp -> rename, so a crash
-// at any instant leaves either the previous complete checkpoint or a
-// tmp file that is never read. Corruption (torn tail, flipped bit,
+// format. Version 1 images, which carried the removed parallel-advance
+// options, fail to load with IoErrorClass::kVersion. Writes are
+// in-memory-serialize -> tmp -> rename, so a crash at any instant
+// leaves either the previous complete checkpoint or a tmp file that is
+// never read. Corruption (torn tail, flipped bit,
 // foreign graph) is detected at load and reported as a structured
 // graph::GraphIoError with format "checkpoint" — a damaged checkpoint
 // can fail a resume, never corrupt an answer.

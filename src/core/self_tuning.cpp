@@ -68,11 +68,7 @@ struct SelfTuningRun::Impl {
       : options(opts),
         graph_(&graph),
         controller(make_controller_config(graph, opts)),
-        engine(graph, source,
-               frontier::NearFarEngine::Options{
-                   .parallel = opts.parallel_advance,
-                   .parallel_threshold = opts.parallel_threshold,
-                   .control = opts.control}),
+        engine(graph, source, {.control = opts.control}),
         far(static_cast<Distance>(
             std::max(1.0, std::round(std::max(1.0, graph.mean_edge_weight()))))) {
     result.algorithm = "self-tuning";
@@ -117,8 +113,6 @@ struct SelfTuningRun::Impl {
     result.audits_run = auditor.audits_run();
     result.audit_violations = auditor.violations();
     result.distances = engine.distances();
-    // The engine maintains parents deterministically in both serial and
-    // parallel advances; no re-derivation pass is needed.
     result.parents = engine.parents();
   }
 

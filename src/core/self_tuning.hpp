@@ -45,15 +45,6 @@ struct SelfTuningOptions {
   // Measure controller wall-clock and charge it to the workload. Off
   // gives bit-deterministic workloads for golden tests.
   bool measure_controller_time = true;
-  // Relax large frontiers on the host thread pool. The parallel
-  // pipeline is deterministic — frontier ordering, X1/X2/X3, parents,
-  // and distances are bit-identical at any thread count (see
-  // frontier::NearFarEngine::Options::parallel) — so this is on by
-  // default; recorded workloads do not depend on the machine.
-  bool parallel_advance = true;
-  // Frontiers below this size relax serially (fork/join overhead
-  // dominates the work).
-  std::size_t parallel_threshold = 4096;
   // --- ablation knobs (DESIGN.md Section 6) ---
   bool adaptive_learning_rate = true;  // Algorithm 1 vs fixed-rate SGD
   bool rebalance_down = true;          // allow demoting when delta shrinks

@@ -1,15 +1,12 @@
 #include "frontier/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prof/profiler.hpp"
 #include "res/budget.hpp"
-#include "util/thread_pool.hpp"
 #include "util/weight_math.hpp"
 
 namespace sssp::frontier {
@@ -20,31 +17,21 @@ namespace {
 // is behind the metrics_enabled() branch.
 struct EngineMetrics {
   obs::Counter& advances;
-  obs::Counter& parallel_advances;
   obs::Counter& edges_relaxed;
   obs::Counter& improving;
   obs::Counter& bisects;
   obs::Histogram& frontier_size;
-  obs::Histogram& chunk_edges;
-  obs::Histogram& thread_utilization;
 
   static EngineMetrics& get() {
     static EngineMetrics m{
         obs::MetricsRegistry::global().counter("engine.advance.calls"),
-        obs::MetricsRegistry::global().counter("engine.advance.parallel"),
         obs::MetricsRegistry::global().counter("engine.advance.edges"),
         obs::MetricsRegistry::global().counter("engine.advance.improving"),
         obs::MetricsRegistry::global().counter("engine.bisect.calls"),
-        obs::MetricsRegistry::global().histogram("engine.frontier_size"),
-        obs::MetricsRegistry::global().histogram("engine.advance.chunk_edges"),
-        obs::MetricsRegistry::global().histogram(
-            "engine.advance.thread_utilization")};
+        obs::MetricsRegistry::global().histogram("engine.frontier_size")};
     return m;
   }
 };
-
-constexpr std::size_t kChunksPerThread = 8;   // oversubscription for claiming
-constexpr std::size_t kRangesPerThread = 4;   // uniform-cost scan phases
 
 // Headroom-checked high-water reserve (docs/ROBUSTNESS.md, "Resource
 // budgets & exhaustion"): when the budget refuses, the reserve is
@@ -104,23 +91,7 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_and_filter() {
   {
     SSSP_TRACE_SPAN("advance");
     SSSP_PROF_PHASE("advance");
-    bool parallel =
-        options_.parallel && frontier_.size() >= options_.parallel_threshold;
-    // Budget preflight BEFORE any mutation: once a parallel advance has
-    // partially relaxed (atomic-min already lowered distances), re-
-    // running the iteration serially would lose frontier vertices, so
-    // the degrade decision can only be taken here, while the iteration
-    // state is still untouched. Serial and parallel advances produce
-    // identical final distances/parents — only iteration dynamics and
-    // scratch footprint differ — which is what makes this safe.
-    if (parallel && !parallel_scratch_fits()) {
-      parallel = false;
-      if (obs::metrics_enabled())
-        obs::MetricsRegistry::global()
-            .counter("engine.advance.degraded_serial")
-            .add(1);
-    }
-    result = parallel ? advance_parallel() : advance_serial();
+    result = relax_frontier();
   }
   total_improving_ += result.improving_relaxations;
   updated_high_water_ = std::max<std::size_t>(updated_high_water_, result.x3);
@@ -135,33 +106,9 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_and_filter() {
   return result;
 }
 
-bool NearFarEngine::parallel_scratch_fits() noexcept {
-  const std::size_t x1 = frontier_.size();
-  std::uint64_t bytes = 0;
-  if (winner_.size() != graph_->num_vertices())
-    bytes += static_cast<std::uint64_t>(graph_->num_vertices()) *
-             sizeof(std::uint64_t);
-  if (edge_prefix_.capacity() < x1 + 1)
-    bytes += static_cast<std::uint64_t>(x1 + 1) * sizeof(std::uint64_t);
-  if (frontier_dist_.capacity() < x1)
-    bytes += static_cast<std::uint64_t>(x1) * sizeof(graph::Distance);
-  // Candidate buffers scale with the frontier's out-edges; the exact
-  // degree sum is only known after planning, so estimate with the
-  // graph-wide average degree.
-  const double avg_degree =
-      graph_->num_vertices() == 0
-          ? 0.0
-          : static_cast<double>(graph_->num_edges()) /
-                static_cast<double>(graph_->num_vertices());
-  bytes += static_cast<std::uint64_t>(static_cast<double>(x1) * avg_degree) *
-           sizeof(Candidate);
-  return res::ResourceBudget::global().check_memory(bytes, "res.engine.alloc");
-}
-
-NearFarEngine::AdvanceResult NearFarEngine::advance_serial() {
+NearFarEngine::AdvanceResult NearFarEngine::relax_frontier() {
   AdvanceResult result;
   result.x1 = frontier_.size();
-
   for (std::size_t fi = 0; fi < frontier_.size(); ++fi) {
     if (options_.control != nullptr && (fi & 4095u) == 0 &&
         options_.control->should_abort())
@@ -189,270 +136,21 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_serial() {
   return result;
 }
 
-std::uint64_t NearFarEngine::plan_chunks() {
-  const std::size_t x1 = frontier_.size();
-  frontier_dist_.resize(x1);
-
-  // The shared planner (frontier/plan.hpp) runs the parallel two-pass
-  // prefix sum over the frontier's out-degrees; its snapshot hook
-  // captures every frontier vertex's iteration-start distance in the
-  // same sweep (synchronous-relaxation semantics: phase A reads only
-  // this snapshot, so mid-iteration improvements of a frontier vertex
-  // never leak into the same iteration — that is what makes the
-  // results schedule-independent).
-  PlanParams params;
-  params.partition = options_.partition;
-  params.min_chunk_edges = options_.min_chunk_edges;
-  params.chunks_per_thread = kChunksPerThread;
-  params.ranges_per_thread = kRangesPerThread;
-  const std::uint64_t x2 = build_frontier_plan(
-      *graph_, frontier_, params, edge_prefix_, chunk_begin_, range_base_,
-      [&](std::size_t i, graph::VertexId u) { frontier_dist_[i] = dist_[u]; });
-  if (obs::metrics_enabled()) {
-    EngineMetrics& m = EngineMetrics::get();
-    for (std::size_t c = 0; c + 1 < chunk_begin_.size(); ++c)
-      m.chunk_edges.record(static_cast<double>(
-          edge_prefix_[chunk_begin_[c + 1]] - edge_prefix_[chunk_begin_[c]]));
-  }
-  return x2;
-}
-
-NearFarEngine::AdvanceResult NearFarEngine::advance_parallel() {
-  AdvanceResult result;
-  result.x1 = frontier_.size();
-  util::ThreadPool& pool = util::ThreadPool::global();
-  if (winner_.size() != graph_->num_vertices())
-    winner_.assign(graph_->num_vertices(), 0);
-
-  // Abort polls sit at phase *boundaries* only: pool workers never see
-  // the control object, so a stop request lands between phases, before
-  // any of this iteration's writes become externally visible state.
-  if (options_.control != nullptr && options_.control->should_abort())
-    throw util::StopRequested(options_.control->reason());
-  {
-    SSSP_TRACE_SPAN("advance.plan");
-    SSSP_PROF_PHASE("advance.plan");
-    result.x2 = plan_chunks();
-  }
-  const std::size_t num_chunks = chunk_begin_.size() - 1;
-  const bool tally_threads = obs::metrics_enabled();
-  if (tally_threads) thread_edges_.assign(pool.size(), 0);
-
-  // Phase A — relax: atomic-min every edge's proposed distance into
-  // dist_, claim each improved vertex exactly once via an epoch CAS on
-  // the mark array. The claim *set* is schedule-independent (v is
-  // claimed iff some edge beats its iteration-start distance); which
-  // thread claims is not, so ordering is resolved in phases B1/B2.
-  {
-    SSSP_TRACE_SPAN("advance.relax");
-    SSSP_PROF_PHASE("advance.relax");
-    pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t tid) {
-      const std::size_t begin = chunk_begin_[c];
-      const std::size_t end = chunk_begin_[c + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        const graph::VertexId u = frontier_[i];
-        const graph::Distance du = frontier_dist_[i];
-        const auto neighbors = graph_->neighbors(u);
-        const auto weights = graph_->weights_of(u);
-        for (std::size_t e = 0; e < neighbors.size(); ++e) {
-          const graph::VertexId v = neighbors[e];
-          const graph::Distance nd = util::saturating_add(du, weights[e]);
-          std::atomic_ref<graph::Distance> dv(dist_[v]);
-          graph::Distance current = dv.load(std::memory_order_relaxed);
-          bool improved = false;
-          while (nd < current) {
-            if (dv.compare_exchange_weak(current, nd,
-                                         std::memory_order_relaxed)) {
-              improved = true;
-              break;
-            }
-          }
-          if (!improved) continue;
-          std::atomic_ref<std::uint32_t> mark(mark_[v]);
-          std::uint32_t seen = mark.load(std::memory_order_relaxed);
-          while (seen != epoch_) {
-            if (mark.compare_exchange_weak(seen, epoch_,
-                                           std::memory_order_relaxed)) {
-              // Sole claimer initializes the winner slot; the phase
-              // barrier publishes it to B1.
-              winner_[v] = std::numeric_limits<std::uint64_t>::max();
-              break;
-            }
-          }
-        }
-      }
-      if (tally_threads)
-        thread_edges_[tid] += edge_prefix_[end] - edge_prefix_[begin];
-    });
-  }
-
-  if (options_.control != nullptr && options_.control->should_abort())
-    throw util::StopRequested(options_.control->reason());
-
-  // Phase B1 — candidates: distances are final now, so re-walk the
-  // edges and record every relaxation that achieved its target's final
-  // distance, atomic-min-ing the canonical edge rank (frontier order ×
-  // adjacency order) into the winner slot. Both the per-chunk candidate
-  // lists and the winner ranks are pure functions of iteration-start
-  // state — no schedule dependence survives this phase.
-  {
-    SSSP_TRACE_SPAN("advance.candidates");
-    SSSP_PROF_PHASE("advance.candidates");
-    chunk_candidates_.resize(
-        std::max(chunk_candidates_.size(), num_chunks));
-    pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t) {
-      auto& candidates = chunk_candidates_[c];
-      candidates.clear();
-      const std::size_t begin = chunk_begin_[c];
-      const std::size_t end = chunk_begin_[c + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        const graph::VertexId u = frontier_[i];
-        const graph::Distance du = frontier_dist_[i];
-        const std::uint64_t base = edge_prefix_[i];
-        const auto neighbors = graph_->neighbors(u);
-        const auto weights = graph_->weights_of(u);
-        for (std::size_t e = 0; e < neighbors.size(); ++e) {
-          const graph::VertexId v = neighbors[e];
-          if (mark_[v] != epoch_) continue;  // not improved this iteration
-          const graph::Distance nd = util::saturating_add(du, weights[e]);
-          if (nd != dist_[v]) continue;  // does not achieve the final value
-          const std::uint64_t rank = base + e;
-          std::atomic_ref<std::uint64_t> w(winner_[v]);
-          std::uint64_t cur = w.load(std::memory_order_relaxed);
-          while (rank < cur &&
-                 !w.compare_exchange_weak(cur, rank,
-                                          std::memory_order_relaxed)) {
-          }
-          candidates.push_back({rank, v, u});
-        }
-      }
-    });
-  }
-
-  // Phase B2 — deterministic merge: count winners per chunk, exclusive-
-  // prefix-sum the counts, write each chunk's winners into its reserved
-  // slots. Chunk ranges partition the rank space in order and each list
-  // is rank-sorted, so the concatenation is globally ordered by winning
-  // edge rank — one canonical order, whatever the thread count or
-  // chunking. The winning edge also records the parent.
-  {
-    SSSP_TRACE_SPAN("advance.emit");
-    SSSP_PROF_PHASE("advance.emit");
-    chunk_counts_.assign(num_chunks, 0);
-    pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t) {
-      std::uint64_t count = 0;
-      for (const Candidate& cand : chunk_candidates_[c])
-        if (winner_[cand.v] == cand.rank) ++count;
-      chunk_counts_[c] = count;
-    });
-    chunk_offsets_.assign(num_chunks, 0);
-    std::uint64_t total = 0;
-    std::uint64_t improving = 0;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      chunk_offsets_[c] = total;
-      total += chunk_counts_[c];
-      improving += chunk_candidates_[c].size();
-    }
-    updated_frontier_.resize(total);
-    pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t) {
-      std::uint64_t out = chunk_offsets_[c];
-      for (const Candidate& cand : chunk_candidates_[c]) {
-        if (winner_[cand.v] != cand.rank) continue;
-        updated_frontier_[out++] = cand.v;
-        parent_[cand.v] = cand.u;
-      }
-    });
-    result.x3 = total;
-    result.improving_relaxations = improving;
-  }
-
-  if (tally_threads) {
-    EngineMetrics& m = EngineMetrics::get();
-    m.parallel_advances.add();
-    const std::uint64_t busiest =
-        *std::max_element(thread_edges_.begin(), thread_edges_.end());
-    if (busiest > 0)
-      m.thread_utilization.record(
-          static_cast<double>(result.x2) /
-          (static_cast<double>(pool.size()) * static_cast<double>(busiest)));
-  }
-  return result;
-}
-
 void NearFarEngine::partition_by_distance(
     const std::vector<graph::VertexId>& input, graph::Distance threshold,
     std::vector<graph::VertexId>& below) {
   below.clear();
   frontier_max_distance_ = 0;
-  const std::size_t n = input.size();
   reserve_within_budget(spill_, spill_high_water_);
-  if (!options_.parallel || n < options_.parallel_threshold) {
-    for (const graph::VertexId v : input) {
-      const graph::Distance d = dist_[v];
-      if (d < threshold) {
-        below.push_back(v);
-        frontier_max_distance_ = std::max(frontier_max_distance_, d);
-      } else {
-        spill_.push_back(v);
-      }
+  for (const graph::VertexId v : input) {
+    const graph::Distance d = dist_[v];
+    if (d < threshold) {
+      below.push_back(v);
+      frontier_max_distance_ = std::max(frontier_max_distance_, d);
+    } else {
+      spill_.push_back(v);
     }
-    spill_high_water_ = std::max(spill_high_water_, spill_.size());
-    return;
   }
-
-  // Count → exclusive-prefix-sum → write: the stable partition runs on
-  // the pool but produces exactly the serial output (input order is
-  // preserved on both sides).
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(n, pool.size() * kRangesPerThread));
-  const std::size_t per = (n + chunks - 1) / chunks;
-  chunk_counts_.assign(chunks, 0);   // below side
-  chunk_counts2_.assign(chunks, 0);  // spill side
-  chunk_max_.assign(chunks, 0);
-  pool.for_each_chunk(chunks, [&](std::size_t c, std::size_t) {
-    const std::size_t begin = std::min(n, c * per);
-    const std::size_t end = std::min(n, begin + per);
-    std::uint64_t num_below = 0;
-    graph::Distance max_below = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const graph::Distance d = dist_[input[i]];
-      if (d < threshold) {
-        ++num_below;
-        max_below = std::max(max_below, d);
-      }
-    }
-    chunk_counts_[c] = num_below;
-    chunk_counts2_[c] = (end - begin) - num_below;
-    chunk_max_[c] = max_below;
-  });
-  chunk_offsets_.assign(chunks, 0);
-  chunk_offsets2_.assign(chunks, 0);
-  std::uint64_t below_total = 0, spill_total = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    chunk_offsets_[c] = below_total;
-    chunk_offsets2_[c] = spill_total;
-    below_total += chunk_counts_[c];
-    spill_total += chunk_counts2_[c];
-    frontier_max_distance_ = std::max(frontier_max_distance_, chunk_max_[c]);
-  }
-  below.resize(below_total);
-  const std::size_t spill_base = spill_.size();
-  spill_.resize(spill_base + spill_total);
-  pool.for_each_chunk(chunks, [&](std::size_t c, std::size_t) {
-    const std::size_t begin = std::min(n, c * per);
-    const std::size_t end = std::min(n, begin + per);
-    std::uint64_t wb = chunk_offsets_[c];
-    std::uint64_t ws = spill_base + chunk_offsets2_[c];
-    for (std::size_t i = begin; i < end; ++i) {
-      const graph::VertexId v = input[i];
-      if (dist_[v] < threshold) {
-        below[wb++] = v;
-      } else {
-        spill_[ws++] = v;
-      }
-    }
-  });
   spill_high_water_ = std::max(spill_high_water_, spill_.size());
 }
 

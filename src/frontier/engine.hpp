@@ -5,9 +5,9 @@
 // exposes the paper's four stages as methods:
 //
 //   advance_and_filter()  — stages 1+2: relax all out-edges of the
-//                           frontier (atomic-min semantics), then
-//                           deduplicate the updated frontier with an
-//                           epoch-stamped mark array (Gunrock's bitmap).
+//                           frontier (min semantics), then deduplicate
+//                           the updated frontier with an epoch-stamped
+//                           mark array (Gunrock's bitmap).
 //   bisect(threshold)     — stage 3: keep vertices with distance below
 //                           the threshold as the next frontier; spill
 //                           the rest for the caller's far queue.
@@ -27,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "frontier/plan.hpp"
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
 #include "util/run_control.hpp"
@@ -37,41 +36,12 @@ namespace sssp::frontier {
 class NearFarEngine {
  public:
   struct Options {
-    // Relax frontiers above the threshold on the host thread pool.
-    // Parallel advances use synchronous (Bellman-Ford-style) relaxation
-    // from an iteration-start snapshot of the frontier's distances and
-    // a count → exclusive-prefix-sum → write merge, so the updated
-    // frontier's *ordering*, the per-iteration X1/X2/X3 statistics, the
-    // parent tree, and the final distances are all bit-identical at any
-    // thread count, any chunking, and any schedule (docs/PERFORMANCE.md
-    // has the argument). Parallel results differ from serial only in
-    // iteration dynamics — serial relaxation is chained in frontier
-    // order, so intra-frontier improvements propagate within one
-    // iteration — never in final distances or parents.
-    bool parallel = false;
-    std::size_t parallel_threshold = 4096;
-
-    // Work partitioning for parallel phases (frontier/plan.hpp — the
-    // planner is shared with the batched multi-source engine).
-    // Edge-balanced chunks are cut by binary-searching the frontier's
-    // degree prefix sums so each chunk owns ~equal *edges* — on
-    // skewed-degree (scale-free) graphs vertex-balanced chunks leave
-    // whole hubs in one chunk and serialize the iteration on it.
-    // Results are identical either way; only wall-clock differs
-    // (bench/micro_primitives.cpp measures).
-    using Partition = frontier::Partition;
-    Partition partition = Partition::kEdgeBalanced;
-
-    // Minimum edges per chunk (grain): below this, chunk-claiming
-    // overhead dominates the work.
-    std::size_t min_chunk_edges = 2048;
-
     // Cooperative cancellation (docs/ROBUSTNESS.md): when set, advance
     // and bisect poll should_abort() at stage boundaries (and every few
-    // thousand serial vertices) and throw util::StopRequested. A
-    // mid-stage abort leaves the engine state torn — the run must be
-    // abandoned and resumed from its last boundary checkpoint. Not
-    // owned; must outlive the engine.
+    // thousand vertices) and throw util::StopRequested. A mid-stage
+    // abort leaves the engine state torn — the run must be abandoned
+    // and resumed from its last boundary checkpoint. Not owned; must
+    // outlive the engine.
     util::RunControl* control = nullptr;
   };
 
@@ -83,12 +53,17 @@ class NearFarEngine {
   struct AdvanceResult {
     std::uint64_t x1 = 0;  // input frontier size
     std::uint64_t x2 = 0;  // edge work items (neighbor-list cardinality)
+    // Relaxations that strictly lowered their target's tentative
+    // distance. Relaxation is chained in frontier order, so a vertex
+    // improved twice in one advance counts twice.
     std::uint64_t improving_relaxations = 0;
     std::uint64_t x3 = 0;  // deduplicated updated frontier size
   };
 
-  // Runs stages 1+2 over the current frontier. Afterwards the frontier
-  // is *consumed*; the deduplicated updated frontier awaits bisect().
+  // Runs stages 1+2 over the current frontier, relaxing in frontier
+  // order × adjacency order on the calling thread. Afterwards the
+  // frontier is *consumed*; the updated frontier (each improved vertex
+  // once, in order of its first improvement) awaits bisect().
   AdvanceResult advance_and_filter();
 
   // Stage 3: moves updated-frontier vertices with distance < threshold
@@ -124,19 +99,12 @@ class NearFarEngine {
   const std::vector<graph::Distance>& distances() const noexcept {
     return dist_;
   }
-  // Shortest-path-tree parents: parent_[v] is the predecessor on the
-  // best known path to v (kInvalidVertex if unreached; source for the
-  // source). Maintained by both serial and parallel advances: a
-  // parallel advance records the canonically-first relaxation that
-  // achieved each vertex's new distance, so the tree is deterministic
-  // and exact on termination at any thread count.
+  // Shortest-path-tree parents: parent_[v] is the source of the last
+  // relaxation that improved v (kInvalidVertex if unreached; source for
+  // the source), so the tree is exact on termination.
   const std::vector<graph::VertexId>& parents() const noexcept {
     return parent_;
   }
-  // Historical API: parallel advances once invalidated parents (they
-  // had to be re-derived from distances). The deterministic pipeline
-  // maintains them in every mode, so this is now always true.
-  bool parents_valid() const noexcept { return true; }
   graph::Distance distance(graph::VertexId v) const { return dist_[v]; }
   const graph::CsrGraph& graph() const noexcept { return *graph_; }
   graph::VertexId source() const noexcept { return source_; }
@@ -149,12 +117,9 @@ class NearFarEngine {
     return frontier_max_distance_;
   }
 
-  // Total successful relaxations across the whole run (work-efficiency
+  // Total improving relaxations across the whole run (work-efficiency
   // metric: equals n-1 for Dijkstra-like behaviour, grows with redundant
-  // re-relaxation when thresholds are too aggressive). In parallel
-  // advances a "successful relaxation" is one that achieved the
-  // iteration's final distance for its target (ties included) — the
-  // schedule-independent analogue of the serial count.
+  // re-relaxation when thresholds are too aggressive).
   std::uint64_t total_improving_relaxations() const noexcept {
     return total_improving_;
   }
@@ -181,27 +146,15 @@ class NearFarEngine {
   void restore(State&& state);
 
  private:
-  AdvanceResult advance_serial();
-  AdvanceResult advance_parallel();
-
-  // Estimates the incremental scratch a parallel advance of the current
-  // frontier would allocate (winner array on first use, plan arrays,
-  // candidate buffers at average degree) and checks it against the
-  // process memory budget ("res.engine.alloc"). False → the caller
-  // degrades this iteration to the serial advance, which needs no
-  // parallel scratch, instead of risking std::bad_alloc mid-relax.
-  bool parallel_scratch_fits() noexcept;
-
-  // Computes edge_prefix_ / frontier_dist_ over the current frontier
-  // and cuts chunk_begin_ according to options_.partition, via the
-  // shared planner (frontier/plan.hpp). Returns X2 (total edges).
-  std::uint64_t plan_chunks();
+  // The advance proper: relaxes every out-edge of the frontier in
+  // frontier order × adjacency order, appending each first-improved
+  // vertex to updated_frontier_.
+  AdvanceResult relax_frontier();
 
   // Stable-partitions `input` by distance < threshold: vertices below
   // overwrite `below` (cleared first) in input order, the rest are
   // appended to spill_, and frontier_max_distance_ is set to the max
-  // distance of the below side. Runs on the pool above the parallel
-  // threshold; serial otherwise. `input` must not alias `below`.
+  // distance of the below side. `input` must not alias `below`.
   void partition_by_distance(const std::vector<graph::VertexId>& input,
                              graph::Distance threshold,
                              std::vector<graph::VertexId>& below);
@@ -219,27 +172,7 @@ class NearFarEngine {
   std::uint32_t epoch_ = 0;
   std::uint64_t total_improving_ = 0;
   graph::Distance frontier_max_distance_ = 0;
-
-  // --- persistent parallel scratch (allocated on first parallel use,
-  // reused every iteration to avoid per-call allocation churn) ---
-  struct Candidate {
-    std::uint64_t rank;   // canonical edge rank (frontier order)
-    graph::VertexId v;    // relaxation target
-    graph::VertexId u;    // relaxation source (parent if this edge wins)
-  };
-  std::vector<std::uint64_t> edge_prefix_;      // frontier degree prefix sums
-  std::vector<graph::Distance> frontier_dist_;  // iteration-start du snapshot
-  std::vector<std::size_t> chunk_begin_;        // frontier-index chunk bounds
-  std::vector<std::uint64_t> winner_;  // per-vertex min winning edge rank
-  std::vector<std::vector<Candidate>> chunk_candidates_;
-  std::vector<std::uint64_t> chunk_counts_;   // per-chunk count scratch
-  std::vector<std::uint64_t> chunk_counts2_;  // second counter (partitions)
-  std::vector<std::uint64_t> chunk_offsets_;
-  std::vector<std::uint64_t> chunk_offsets2_;
-  std::vector<graph::Distance> chunk_max_;    // per-chunk distance maxima
-  std::vector<std::uint64_t> range_base_;     // prefix-sum pass scratch
   std::vector<graph::VertexId> partition_scratch_;  // demote output buffer
-  std::vector<std::uint64_t> thread_edges_;   // per-thread edge tallies
   // High-water marks from previous iterations, used to reserve output
   // buffers up front instead of growing them from empty every time.
   std::size_t updated_high_water_ = 0;

@@ -9,8 +9,8 @@
 //    stable for the registry's lifetime, so hot paths can cache them in
 //    a function-local static and skip the name lookup afterwards.
 //  - All mutation is lock-free (relaxed atomics); only instrument
-//    creation and export take the registry mutex. Safe under
-//    util::ThreadPool's parallel engine.
+//    creation and export take the registry mutex. Safe from any thread,
+//    e.g. batch lanes running on util::ThreadPool.
 #pragma once
 
 #include <array>

@@ -19,7 +19,7 @@
 // innermost phase active during it (gaps go to "(untracked)"). That
 // makes per-phase values sum to the whole profiled span — the property
 // the attribution tests check — even though the trace spans these
-// scopes shadow are nested (advance contains advance.relax etc.).
+// scopes shadow are nested (iteration contains advance, bisect etc.).
 //
 // Threading: phases and iteration samples are recorded only on the
 // thread that called start() — the orchestrating thread, which is

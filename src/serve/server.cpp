@@ -11,6 +11,7 @@
 #include "graph/binary_io.hpp"
 #include "obs/json.hpp"
 #include "res/budget.hpp"
+#include "sssp/batch_engine.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/near_far.hpp"
@@ -609,10 +610,9 @@ void Server::execute_batch(std::vector<Ticket>& batch,
     if (sources.empty()) return;  // every ticket was a cache hit
 
     algo::BatchOptions batch_options;
-    batch_options.strategy = options_.batch_strategy;
     batch_options.delta = static_cast<graph::Distance>(head.delta);
     batch_options.control = &control;
-    const algo::BatchResult result = algo::run_batch(
+    algo::BatchResult result = algo::run_batch(
         graph_,
         std::span<const graph::VertexId>(sources.data(), sources.size()),
         batch_options);
@@ -625,7 +625,7 @@ void Server::execute_batch(std::vector<Ticket>& batch,
     std::vector<std::string> lane_error(sources.size());
     for (std::size_t l = 0; l < sources.size(); ++l) {
       auto fresh = std::make_shared<CacheEntry>();
-      fresh->result = result.lanes[l];
+      fresh->result = std::move(result.lanes[l]);
       fresh->dist_checksum = graph::fnv1a64(
           fresh->result.distances.data(),
           fresh->result.distances.size() * sizeof(graph::Distance));
@@ -842,7 +842,6 @@ void Server::write_report(std::ostream& out) const {
   w.key("verify_default").value(options_.verify_default);
   w.key("default_algorithm").value(options_.default_algorithm);
   w.key("batch_max").value(static_cast<std::uint64_t>(options_.batch_max));
-  w.key("batch_strategy").value(algo::to_string(options_.batch_strategy));
   w.key("sample_reports").value(
       static_cast<std::uint64_t>(options_.sample_reports));
   w.end_object();

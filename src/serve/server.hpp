@@ -43,7 +43,6 @@
 #include "serve/admission.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
-#include "sssp/batch_engine.hpp"
 #include "util/run_control.hpp"
 
 namespace sssp::serve {
@@ -77,10 +76,6 @@ struct ServerOptions {
   // batched run (sssp/batch_engine.hpp), fanning the per-lane results
   // out to each ticket's response sink. 1 disables coalescing.
   std::size_t batch_max = 8;
-  // Independent is the measured default (docs/PERFORMANCE.md, "Batched
-  // multi-source"): fused only wins when the union frontiers of the
-  // batch overlap heavily, which road-like queries rarely do.
-  algo::BatchStrategy batch_strategy = algo::BatchStrategy::kIndependent;
   // Capture the full per-iteration trace of the first N freshly solved
   // queries and publish them in the final report's "sampled_reports"
   // array (0 disables; bounded so a long-running server cannot grow

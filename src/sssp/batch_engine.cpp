@@ -1,451 +1,31 @@
 #include "sssp/batch_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "fault/failpoint.hpp"
-#include "frontier/plan.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "res/budget.hpp"
 #include "sssp/near_far.hpp"
 #include "util/thread_pool.hpp"
-#include "util/weight_math.hpp"
 
 namespace sssp::algo {
-
-const char* to_string(BatchStrategy strategy) noexcept {
-  switch (strategy) {
-    case BatchStrategy::kFused: return "fused";
-    case BatchStrategy::kIndependent: return "independent";
-  }
-  return "unknown";
-}
-
-BatchStrategy parse_batch_strategy(std::string_view name) {
-  if (name == "fused") return BatchStrategy::kFused;
-  if (name == "independent") return BatchStrategy::kIndependent;
-  throw std::invalid_argument("unknown batch strategy '" + std::string(name) +
-                              "' (expected fused or independent)");
-}
 
 namespace {
 
 struct BatchMetrics {
   obs::Counter& runs;
-  obs::Counter& advances;
-  obs::Counter& edges_fetched;
   obs::Histogram& lanes;
 
   static BatchMetrics& get() {
     static BatchMetrics m{
         obs::MetricsRegistry::global().counter("batch.runs"),
-        obs::MetricsRegistry::global().counter("batch.advance.calls"),
-        obs::MetricsRegistry::global().counter("batch.advance.edges"),
         obs::MetricsRegistry::global().histogram("batch.lanes")};
     return m;
   }
 };
-
-// The fused engine: one union frontier, K structure-of-arrays distance
-// lanes laid out lane-contiguous per vertex (dist_[v*K + l]). Every
-// iteration relaxes ALL K lanes of every union-frontier vertex from an
-// iteration-start snapshot:
-//
-//   - each CSR edge is fetched once and its weight applied to a
-//     contiguous K-row of distances (the memory-bound amortization);
-//   - the snapshot makes the set of improved (vertex, lane) pairs a
-//     pure function of iteration-start state, so the update set, the
-//     pending lane masks, and the post-iteration distances are
-//     schedule-independent; the union frontier is canonicalized by
-//     sorting on vertex id, so the whole trajectory — per-iteration
-//     stats included — is bit-identical at any thread count;
-//   - lanes for which the vertex is not "active" simply relax from
-//     their current labels (INF rows are absorbing no-ops). This does
-//     strictly more relaxation work per visit than K isolated runs,
-//     in exchange for touching the adjacency arrays once — and may
-//     propagate a lane's labels earlier than its own phase ladder
-//     would, which is harmless: improvements always re-enter the
-//     pipeline, so exactness is unaffected.
-//
-// Near/far bookkeeping is per (vertex, lane): a lane below the shared
-// threshold keeps its vertex in the union frontier; a lane at or above
-// it is postponed as a (vertex, lane, distance) far entry with the
-// usual staleness rule (stored != current means a fresher copy
-// re-entered the pipeline).
-class FusedBatchEngine {
- public:
-  FusedBatchEngine(const graph::CsrGraph& graph,
-                   std::span<const graph::VertexId> sources,
-                   const BatchOptions& options)
-      : graph_(graph),
-        options_(options),
-        lanes_(sources.size()),
-        dist_(graph.num_vertices() * sources.size(),
-              graph::kInfiniteDistance),
-        pending_(graph.num_vertices(), 0),
-        mark_(graph.num_vertices(), 0),
-        lane_improving_(sources.size(), 0) {
-    for (std::size_t l = 0; l < lanes_; ++l)
-      dist_[static_cast<std::size_t>(sources[l]) * lanes_ + l] = 0;
-    frontier_.assign(sources.begin(), sources.end());
-    std::sort(frontier_.begin(), frontier_.end());
-    frontier_.erase(std::unique(frontier_.begin(), frontier_.end()),
-                    frontier_.end());
-  }
-
-  void run(graph::Distance delta) {
-    graph::Distance threshold = delta;
-    while (!frontier_.empty()) {
-      if (options_.max_iterations != 0 &&
-          iterations_.size() >= options_.max_iterations)
-        break;
-      if (options_.control != nullptr) {
-        const util::StopReason reason =
-            options_.control->poll_iteration(total_improving_);
-        if (reason != util::StopReason::kNone)
-          throw util::StopRequested(reason);
-      }
-
-      frontier::IterationStats stats;
-      stats.delta = static_cast<double>(threshold);
-      stats.x1 = frontier_.size();
-      stats.x2 = advance();
-      edges_fetched_ += stats.x2;
-      stats.x3 = updated_.size();
-      std::uint64_t iteration_improving = 0;
-      stats.x4 = bisect(threshold, iteration_improving);
-      stats.improving_relaxations = iteration_improving;
-      total_improving_ += iteration_improving;
-
-      if (frontier_.empty() && !far_.empty()) {
-        stats.rebalance_items += advance_phase(delta, threshold);
-      }
-      stats.far_queue_size = far_.size();
-      iterations_.push_back(stats);
-      if (obs::metrics_enabled()) {
-        BatchMetrics& m = BatchMetrics::get();
-        m.advances.add();
-        m.edges_fetched.add(stats.x2);
-      }
-    }
-  }
-
-  std::size_t num_lanes() const noexcept { return lanes_; }
-  std::uint64_t edges_fetched() const noexcept { return edges_fetched_; }
-  std::uint64_t lane_improving(std::size_t l) const {
-    return lane_improving_[l];
-  }
-  const graph::Distance* lane_row(graph::VertexId v) const {
-    return &dist_[static_cast<std::size_t>(v) * lanes_];
-  }
-  std::vector<frontier::IterationStats> take_iterations() {
-    return std::move(iterations_);
-  }
-
- private:
-  struct FarEntry {
-    graph::VertexId vertex;
-    std::uint32_t lane;
-    graph::Distance distance;  // tentative distance when enqueued
-  };
-
-  // Opens a fresh dedup epoch (reset-free except on 2^32 wraparound).
-  void fresh_epoch() {
-    ++epoch_;
-    if (epoch_ == 0) {
-      std::fill(mark_.begin(), mark_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  void abort_if_stopped() {
-    if (options_.control != nullptr && options_.control->should_abort())
-      throw util::StopRequested(options_.control->reason());
-  }
-
-  // Relaxes all K lanes of every union-frontier vertex from the
-  // iteration-start snapshot. Consumes the frontier; leaves the
-  // improved vertex set in updated_ (sorted) and the improved lane
-  // masks in pending_. Returns X2 (CSR edges fetched, counted once
-  // for all lanes).
-  std::uint64_t advance() {
-    SSSP_TRACE_SPAN("batch.advance");
-    updated_.clear();
-    fresh_epoch();
-    abort_if_stopped();
-    const std::uint64_t x2 =
-        options_.parallel && frontier_.size() >= options_.parallel_threshold
-            ? advance_parallel()
-            : advance_serial();
-    std::sort(updated_.begin(), updated_.end());
-    frontier_.clear();
-    return x2;
-  }
-
-  std::uint64_t advance_serial() {
-    const std::size_t x1 = frontier_.size();
-    fsnap_.resize(x1 * lanes_);
-    for (std::size_t i = 0; i < x1; ++i)
-      std::memcpy(&fsnap_[i * lanes_], lane_row_mutable(frontier_[i]),
-                  lanes_ * sizeof(graph::Distance));
-    std::uint64_t x2 = 0;
-    for (std::size_t i = 0; i < x1; ++i) {
-      if ((i & 2047u) == 0) abort_if_stopped();
-      const graph::VertexId u = frontier_[i];
-      const graph::Distance* row = &fsnap_[i * lanes_];
-      const auto neighbors = graph_.neighbors(u);
-      const auto weights = graph_.weights_of(u);
-      x2 += neighbors.size();
-      for (std::size_t e = 0; e < neighbors.size(); ++e) {
-        const graph::VertexId v = neighbors[e];
-        const graph::Distance w = weights[e];
-        graph::Distance* dv = lane_row_mutable(v);
-        std::uint64_t improved = 0;
-        for (std::size_t l = 0; l < lanes_; ++l) {
-          const graph::Distance nd = util::saturating_add(row[l], w);
-          if (nd < dv[l]) {
-            dv[l] = nd;
-            improved |= std::uint64_t{1} << l;
-          }
-        }
-        if (improved != 0) {
-          pending_[v] |= improved;
-          if (mark_[v] != epoch_) {
-            mark_[v] = epoch_;
-            updated_.push_back(v);
-          }
-        }
-      }
-    }
-    return x2;
-  }
-
-  std::uint64_t advance_parallel() {
-    util::ThreadPool& pool = util::ThreadPool::global();
-    const std::size_t x1 = frontier_.size();
-    fsnap_.resize(x1 * lanes_);
-    const frontier::PlanParams params;  // edge-balanced defaults
-    const std::uint64_t x2 = frontier::build_frontier_plan(
-        graph_, frontier_, params, edge_prefix_, chunk_begin_, range_base_,
-        [&](std::size_t i, graph::VertexId u) {
-          std::memcpy(&fsnap_[i * lanes_], lane_row_mutable(u),
-                      lanes_ * sizeof(graph::Distance));
-        });
-    abort_if_stopped();
-    const std::size_t num_chunks = chunk_begin_.size() - 1;
-    chunk_updated_.resize(std::max(chunk_updated_.size(), num_chunks));
-    pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t) {
-      auto& local_updated = chunk_updated_[c];
-      local_updated.clear();
-      const std::size_t begin = chunk_begin_[c];
-      const std::size_t end = chunk_begin_[c + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        const graph::VertexId u = frontier_[i];
-        const graph::Distance* row = &fsnap_[i * lanes_];
-        const auto neighbors = graph_.neighbors(u);
-        const auto weights = graph_.weights_of(u);
-        for (std::size_t e = 0; e < neighbors.size(); ++e) {
-          const graph::VertexId v = neighbors[e];
-          const graph::Distance w = weights[e];
-          graph::Distance* dv = lane_row_mutable(v);
-          std::uint64_t improved = 0;
-          for (std::size_t l = 0; l < lanes_; ++l) {
-            const graph::Distance nd = util::saturating_add(row[l], w);
-            std::atomic_ref<graph::Distance> slot(dv[l]);
-            graph::Distance current = slot.load(std::memory_order_relaxed);
-            while (nd < current) {
-              if (slot.compare_exchange_weak(current, nd,
-                                             std::memory_order_relaxed)) {
-                improved |= std::uint64_t{1} << l;
-                break;
-              }
-            }
-          }
-          if (improved == 0) continue;
-          std::atomic_ref<std::uint64_t> lane_mask(pending_[v]);
-          lane_mask.fetch_or(improved, std::memory_order_relaxed);
-          std::atomic_ref<std::uint32_t> mark(mark_[v]);
-          std::uint32_t seen = mark.load(std::memory_order_relaxed);
-          while (seen != epoch_) {
-            if (mark.compare_exchange_weak(seen, epoch_,
-                                           std::memory_order_relaxed)) {
-              local_updated.push_back(v);
-              break;
-            }
-          }
-        }
-      }
-    });
-    for (std::size_t c = 0; c < num_chunks; ++c)
-      updated_.insert(updated_.end(), chunk_updated_[c].begin(),
-                      chunk_updated_[c].end());
-    return x2;
-  }
-
-  // Per (vertex, lane) near/far split of the improved set: near lanes
-  // keep the vertex in the union frontier, far lanes are postponed as
-  // entries. Also tallies per-lane improving counts (the improved-pair
-  // set is schedule-independent, so the counts are too). Consumes
-  // updated_ and the pending masks; returns X4.
-  std::uint64_t bisect(graph::Distance threshold,
-                       std::uint64_t& iteration_improving) {
-    SSSP_TRACE_SPAN("batch.bisect");
-    abort_if_stopped();
-    for (const graph::VertexId v : updated_) {
-      std::uint64_t mask = pending_[v];
-      pending_[v] = 0;
-      iteration_improving +=
-          static_cast<std::uint64_t>(std::popcount(mask));
-      const graph::Distance* dv = lane_row_mutable(v);
-      bool near = false;
-      while (mask != 0) {
-        const unsigned l = static_cast<unsigned>(std::countr_zero(mask));
-        mask &= mask - 1;
-        ++lane_improving_[l];
-        const graph::Distance d = dv[l];
-        if (d < threshold) {
-          near = true;
-        } else {
-          far_.push_back({v, l, d});
-        }
-      }
-      if (near) frontier_.push_back(v);
-    }
-    updated_.clear();
-    return frontier_.size();
-  }
-
-  // Stage 4 over the lane-aware far queue: find the first phase with
-  // live work, drain its live entries into the union frontier (dedup
-  // by vertex), drop stale entries, retain the rest. Returns the
-  // number of entries scanned.
-  std::uint64_t advance_phase(graph::Distance delta,
-                              graph::Distance& threshold) {
-    std::uint64_t scanned = far_.size();
-    graph::Distance next_live = graph::kInfiniteDistance;
-    for (const FarEntry& entry : far_) {
-      if (lane_row_mutable(entry.vertex)[entry.lane] == entry.distance)
-        next_live = std::min(next_live, entry.distance);
-    }
-    if (next_live == graph::kInfiniteDistance) {
-      far_.clear();  // everything stale: drop it
-      return scanned;
-    }
-    const std::uint64_t phase =
-        static_cast<std::uint64_t>(next_live / delta);
-    threshold = static_cast<graph::Distance>(phase + 1) * delta;
-    fresh_epoch();
-    std::size_t kept = 0;
-    scanned += far_.size();
-    for (const FarEntry& entry : far_) {
-      const graph::Distance current =
-          lane_row_mutable(entry.vertex)[entry.lane];
-      if (current != entry.distance) continue;  // stale
-      if (entry.distance < threshold) {
-        if (mark_[entry.vertex] != epoch_) {
-          mark_[entry.vertex] = epoch_;
-          frontier_.push_back(entry.vertex);
-        }
-      } else {
-        far_[kept++] = entry;
-      }
-    }
-    far_.resize(kept);
-    std::sort(frontier_.begin(), frontier_.end());
-    return scanned;
-  }
-
-  graph::Distance* lane_row_mutable(graph::VertexId v) {
-    return &dist_[static_cast<std::size_t>(v) * lanes_];
-  }
-
-  const graph::CsrGraph& graph_;
-  const BatchOptions options_;
-  const std::size_t lanes_;
-  std::vector<graph::Distance> dist_;    // n*K, lane-contiguous per vertex
-  std::vector<std::uint64_t> pending_;   // per-vertex improved-lane masks
-  std::vector<std::uint32_t> mark_;      // epoch-stamped dedup marks
-  std::uint32_t epoch_ = 0;
-  std::vector<graph::VertexId> frontier_;  // union frontier, sorted
-  std::vector<graph::VertexId> updated_;
-  std::vector<graph::Distance> fsnap_;   // iteration-start |F|*K snapshot
-  std::vector<FarEntry> far_;
-  std::vector<std::uint64_t> lane_improving_;
-  std::vector<frontier::IterationStats> iterations_;
-  std::uint64_t total_improving_ = 0;
-  std::uint64_t edges_fetched_ = 0;
-  // Shared-planner artifacts + per-chunk output scratch.
-  std::vector<std::uint64_t> edge_prefix_;
-  std::vector<std::size_t> chunk_begin_;
-  std::vector<std::uint64_t> range_base_;
-  std::vector<std::vector<graph::VertexId>> chunk_updated_;
-};
-
-BatchResult run_fused(const graph::CsrGraph& graph,
-                      std::span<const graph::VertexId> sources,
-                      const BatchOptions& options, graph::Distance delta) {
-  FusedBatchEngine engine(graph, sources, options);
-  engine.run(delta);
-
-  BatchResult out;
-  out.strategy = BatchStrategy::kFused;
-  out.batch_iterations = engine.take_iterations();
-  out.edges_fetched = engine.edges_fetched();
-  out.lanes.resize(sources.size());
-  const std::size_t n = graph.num_vertices();
-  util::ThreadPool::global().for_each_chunk(
-      sources.size(), [&](std::size_t l, std::size_t) {
-        SsspResult& lane = out.lanes[l];
-        lane.algorithm = "near-far";
-        lane.source = sources[l];
-        lane.distances.resize(n);
-        for (std::size_t v = 0; v < n; ++v)
-          lane.distances[v] =
-              engine.lane_row(static_cast<graph::VertexId>(v))[l];
-        lane.parents = derive_parents(graph, lane.distances, lane.source);
-        lane.improving_relaxations = engine.lane_improving(l);
-      });
-  for (SsspResult& lane : out.lanes) lane.iterations = out.batch_iterations;
-  return out;
-}
-
-BatchResult run_independent(const graph::CsrGraph& graph,
-                            std::span<const graph::VertexId> sources,
-                            const BatchOptions& options,
-                            graph::Distance delta) {
-  BatchResult out;
-  out.strategy = BatchStrategy::kIndependent;
-  out.lanes.resize(sources.size());
-  // One serial near-far run per lane; the pool's dynamic chunk
-  // claiming over lanes is the work-stealing. Lanes must not re-enter
-  // the pool themselves (run_on_all is serialized per pool — a nested
-  // parallel advance from a worker thread would deadlock), hence
-  // parallel = false per lane.
-  util::ThreadPool::global().for_each_chunk(
-      sources.size(), [&](std::size_t l, std::size_t) {
-        NearFarOptions nf;
-        nf.delta = delta;
-        nf.max_iterations = options.max_iterations;
-        nf.parallel = false;
-        nf.control = options.control;
-        nf.iteration_poll = false;  // shared control: stall bookkeeping
-                                    // is not thread-safe
-        SsspResult lane = near_far(graph, sources[l], nf);
-        // Canonical parents, identical under either strategy.
-        lane.parents = derive_parents(graph, lane.distances, lane.source);
-        out.lanes[l] = std::move(lane);
-      });
-  for (const SsspResult& lane : out.lanes)
-    for (const frontier::IterationStats& it : lane.iterations)
-      out.edges_fetched += it.x2;
-  return out;
-}
 
 }  // namespace
 
@@ -470,24 +50,19 @@ BatchResult run_batch(const graph::CsrGraph& graph,
 
   // Memory-budget degrade: shrink K (docs/ROBUSTNESS.md, "Resource
   // budgets & exhaustion"). The dominant batch footprint is the
-  // per-lane state — SoA distances (u64) + parents (u32) per vertex
-  // per lane, plus the fused engine's per-vertex lane masks — and it
-  // scales linearly with K, so when the whole batch does not fit the
-  // budget we split the sources in half and run two sub-batches
-  // sequentially. Lanes are computed independently of each other's
-  // presence (header contract), so the per-lane results are identical
-  // to the unsplit batch; only amortization is lost. A single lane is
-  // never refused: K=1 is the service's baseline footprint.
+  // per-lane state — distances (u64) + parents (u32) per vertex per
+  // lane — and it scales linearly with K, so when the whole batch does
+  // not fit the budget we split the sources in half and run two
+  // sub-batches sequentially. Lanes are computed independently of each
+  // other's presence (header contract), so the per-lane results are
+  // identical to the unsplit batch; only concurrency is lost. A single
+  // lane is never refused: K=1 is the service's baseline footprint.
   if (sources.size() > 1) {
     const std::uint64_t lane_bytes =
         static_cast<std::uint64_t>(graph.num_vertices()) *
         (sizeof(graph::Distance) + sizeof(graph::VertexId));
-    const std::uint64_t batch_bytes =
-        lane_bytes * sources.size() +
-        static_cast<std::uint64_t>(graph.num_vertices()) *
-            sizeof(std::uint64_t);
-    if (!res::ResourceBudget::global().check_memory(batch_bytes,
-                                                    "res.batch.alloc")) {
+    if (!res::ResourceBudget::global().check_memory(
+            lane_bytes * sources.size(), "res.batch.alloc")) {
       if (obs::metrics_enabled())
         obs::MetricsRegistry::global().counter("batch.split.memory").add(1);
       const std::size_t mid = sources.size() / 2;
@@ -496,17 +71,27 @@ BatchResult run_batch(const graph::CsrGraph& graph,
       left.lanes.insert(left.lanes.end(),
                         std::make_move_iterator(right.lanes.begin()),
                         std::make_move_iterator(right.lanes.end()));
-      left.batch_iterations.insert(left.batch_iterations.end(),
-                                   right.batch_iterations.begin(),
-                                   right.batch_iterations.end());
-      left.edges_fetched += right.edges_fetched;
       return left;
     }
   }
 
-  BatchResult out = options.strategy == BatchStrategy::kFused
-                        ? run_fused(graph, sources, options, delta)
-                        : run_independent(graph, sources, options, delta);
+  BatchResult out;
+  out.lanes.resize(sources.size());
+  // One serial near-far run per lane; the pool's dynamic chunk claiming
+  // over lanes is the work-stealing.
+  util::ThreadPool::global().for_each_chunk(
+      sources.size(), [&](std::size_t l, std::size_t) {
+        NearFarOptions nf;
+        nf.delta = delta;
+        nf.max_iterations = options.max_iterations;
+        nf.control = options.control;
+        nf.iteration_poll = false;  // shared control: stall bookkeeping
+                                    // is not thread-safe
+        SsspResult lane = near_far(graph, sources[l], nf);
+        // Canonical parents, independent of the relaxation order.
+        lane.parents = derive_parents(graph, lane.distances, lane.source);
+        out.lanes[l] = std::move(lane);
+      });
 
   // Single-lane mutation drill: corrupts lane 0's distance array after
   // parents were derived, so the per-lane certifier must fail exactly

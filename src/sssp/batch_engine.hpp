@@ -1,42 +1,24 @@
-// Batched multi-source SSSP: K queries amortized over one graph sweep
+// Batched multi-source SSSP: K queries in one invocation
 // (docs/PERFORMANCE.md, "Batched multi-source").
 //
-// Real traffic against a resident graph is many sources; running each
-// query alone pays a full frontier sweep per source even though the
-// relax inner loop is memory-bound on the CSR arrays. Two strategies,
-// behind one knob:
+// Real traffic against a resident graph is many sources. A batch runs
+// K independent single-source near-far runs that share the CSR and the
+// global thread pool: each lane is a serial near-far run, and the
+// pool's dynamic chunk claiming IS the work-stealing between lanes.
+// This is where the engine's parallelism lives — across queries, not
+// inside one advance.
 //
-//   kFused        one shared run: the union of the per-source frontiers
-//                 is planned edge-balanced by the shared prefix-sum
-//                 planner (frontier/plan.hpp) and every CSR edge is
-//                 fetched once per union-frontier visit for all K
-//                 sources. Distances live in structure-of-arrays lanes,
-//                 lane-contiguous per vertex (dist[v*K + l]), so each
-//                 edge's K relaxations walk one contiguous row and the
-//                 inner loop over lanes vectorizes in the serial path.
-//   kIndependent  K independent single-source runs sharing the CSR and
-//                 the global thread pool: each lane is a serial
-//                 near-far run, and the pool's dynamic chunk claiming
-//                 IS the work-stealing between lanes. Wins when K
-//                 saturates the cores and the per-source frontiers do
-//                 not overlap (bench/multi_source measures both per
-//                 graph class).
-//
-// Determinism contract (the PR 3 bar): every lane's distances are
-// bit-identical to the corresponding single-source run at any thread
-// count and under either strategy — shortest distances are unique, and
-// both strategies compute exact ones by schedule-independent pipelines.
-// Per-lane parents are a canonical derivation from the final distances
-// (result.hpp derive_parents), so they too are thread-count- and
-// strategy-independent, and every lane passes the certifier.
+// Determinism contract: every lane's distances are bit-identical to the
+// corresponding single-source run at any thread count — each lane IS
+// that run. Per-lane parents are a canonical derivation from the final
+// distances (result.hpp derive_parents), so they too are thread-count-
+// independent, and every lane passes the certifier.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
-#include "frontier/stats.hpp"
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
 #include "sssp/result.hpp"
@@ -44,52 +26,34 @@
 
 namespace sssp::algo {
 
-enum class BatchStrategy : std::uint8_t { kFused = 0, kIndependent = 1 };
+// The only strategy: independent serial lanes. It stays a one-value
+// enum because perfbench (perfbench/src/serve_phase.cpp) sets
+// BatchOptions::strategy by name; nothing in the library reads it.
+enum class BatchStrategy : std::uint8_t { kIndependent };
 
-const char* to_string(BatchStrategy strategy) noexcept;
-// Parses "fused" / "independent"; throws std::invalid_argument.
-BatchStrategy parse_batch_strategy(std::string_view name);
-
-// Hard lane cap: the fused engine tracks per-vertex lane activity in a
-// 64-bit mask. Callers with more sources run several batches.
+// Lane cap per run_batch call: the server's coalescing limit and
+// run_multi_source's group size. Callers with more sources run several
+// batches.
 inline constexpr std::size_t kMaxBatchLanes = 64;
 
 struct BatchOptions {
-  BatchStrategy strategy = BatchStrategy::kFused;
-  // Shared phase width. 0 selects mean edge weight (the near-far
-  // default, so batched lanes walk the same phase ladder as a
-  // single-source run with default delta).
+  BatchStrategy strategy = BatchStrategy::kIndependent;
+  // Phase width. 0 selects mean edge weight (the near-far default, so
+  // batched lanes walk the same phase ladder as a single-source run
+  // with default delta).
   graph::Distance delta = 0;
-  // Safety valve (0 = unlimited): shared iterations for kFused,
-  // per-lane iterations for kIndependent.
+  // Per-lane iteration safety valve (0 = unlimited).
   std::size_t max_iterations = 0;
-  // kFused: relax union frontiers at or above this size on the host
-  // pool; smaller ones relax serially (same snapshot semantics either
-  // way, so the trajectory is identical — only wall-clock differs).
-  bool parallel = true;
-  std::size_t parallel_threshold = 4096;
-  // Cooperative cancellation shared by every lane; polled at fused
-  // phase boundaries and inside independent lanes' serial advances.
-  // Not owned; may be null.
+  // Cooperative cancellation shared by every lane; polled inside each
+  // lane's advances. Not owned; may be null.
   util::RunControl* control = nullptr;
 };
 
 struct BatchResult {
-  BatchStrategy strategy = BatchStrategy::kFused;
   // Index-aligned with the `sources` span. Each lane carries exact
-  // distances, canonical derived parents, and per-lane improving
-  // counts. kIndependent lanes carry their own full iteration traces;
-  // kFused lanes all reference the shared union-frontier trace (also
-  // in batch_iterations), whose x1/x2 count the union once — not per
-  // lane.
+  // distances, canonical derived parents, per-lane improving counts,
+  // and its own full iteration trace.
   std::vector<SsspResult> lanes;
-  // kFused: the shared union-frontier iteration trace. Empty for
-  // kIndependent.
-  std::vector<frontier::IterationStats> batch_iterations;
-  // kFused: CSR edge fetches across the run — each counted once for
-  // all K lanes (the amortization the batch exists for). Equals the
-  // sum of per-lane x2 for kIndependent.
-  std::uint64_t edges_fetched = 0;
 };
 
 // Runs K = sources.size() queries under `options`. Throws

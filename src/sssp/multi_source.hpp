@@ -53,9 +53,7 @@ MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
 // for a given seed), but the runs go through the batched multi-source
 // engine (batch_engine.hpp) in groups of up to kMaxBatchLanes instead
 // of one solve per source. Per-source aggregates are taken from each
-// lane's SsspResult; under BatchStrategy::kFused the lanes of one group
-// share the union-frontier trace, so iteration counts describe the
-// shared sweep rather than an isolated run (docs/PERFORMANCE.md).
+// lane's SsspResult, which carries that source's own iteration trace.
 MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
                                     const BatchOptions& batch,
                                     const MultiSourceOptions& options = {});

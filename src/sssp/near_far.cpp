@@ -18,11 +18,7 @@ SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
         std::max(1.0, std::round(graph.mean_edge_weight())));
   }
 
-  frontier::NearFarEngine::Options engine_options;
-  engine_options.parallel = options.parallel;
-  engine_options.parallel_threshold = options.parallel_threshold;
-  engine_options.control = options.control;
-  frontier::NearFarEngine engine(graph, source, engine_options);
+  frontier::NearFarEngine engine(graph, source, {.control = options.control});
   frontier::FarQueue far;
 
   SsspResult result;
@@ -78,7 +74,6 @@ SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
 
   result.improving_relaxations = engine.total_improving_relaxations();
   result.distances = engine.distances();
-  // Parents are maintained deterministically by both advance modes.
   result.parents = engine.parents();
   return result;
 }

@@ -14,14 +14,6 @@ struct NearFarOptions {
   graph::Distance delta = 0;
   // Safety valve for pathological inputs (0 = unlimited).
   std::size_t max_iterations = 0;
-  // Relax large frontiers on the host thread pool (see
-  // frontier::NearFarEngine::Options). The parallel pipeline is
-  // deterministic — distances, parents, frontier ordering, and
-  // per-iteration stats are bit-identical at any thread count — so it
-  // is on by default.
-  bool parallel = true;
-  // Frontiers below this size relax serially.
-  std::size_t parallel_threshold = 4096;
   // Cooperative cancellation (deadline / signal / stall): polled each
   // iteration and inside the engine stages; a stop request aborts the
   // run with util::StopRequested. Not owned; may be null.

@@ -17,12 +17,13 @@
 //                           hot path).
 //   parallel_for(n, body) — legacy range API over for_each_chunk.
 //
-// The frontier pipeline (frontier::NearFarEngine) runs its advance /
-// bisect / demote phases on this pool with a count → exclusive-prefix-
-// sum → write scheme whose results are independent of thread count and
-// schedule; see docs/PERFORMANCE.md for the determinism argument. The
-// pool itself guarantees only that every chunk runs exactly once and
-// that a batch's writes happen-before run_on_all returns.
+// The library runs work across queries on this pool — independent
+// batch lanes (sssp/batch_engine.hpp) — plus the certifier's edge sweep
+// and PartitionedFarQueue::push_bulk, each with results independent of
+// thread count and schedule (docs/PERFORMANCE.md, "Where parallelism
+// lives"). The pool itself guarantees only that every chunk runs
+// exactly once and that a batch's writes happen-before run_on_all
+// returns.
 #pragma once
 
 #include <atomic>

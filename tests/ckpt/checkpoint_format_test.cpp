@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "core/self_tuning.hpp"
 #include "fault/failpoint.hpp"
+#include "graph/binary_io.hpp"
 #include "graph/io_error.hpp"
 #include "tests/sssp/test_graphs.hpp"
 
@@ -121,6 +124,52 @@ TEST_F(CheckpointFormatTest, WrongMagicIsAVersionError) {
     FAIL() << "wrong magic accepted";
   } catch (const graph::GraphIoError& e) {
     EXPECT_EQ(e.error_class(), graph::IoErrorClass::kVersion);
+  }
+}
+
+// A well-formed version-1 image — valid header checksum, and an options
+// section in the v1 layout, which carried parallel_advance (u8) and
+// parallel_threshold (u64) after measure_controller_time — must fail as
+// a version error, never load with misread options.
+TEST_F(CheckpointFormatTest, VersionOneImageIsAVersionError) {
+  const auto u64_at = [](const std::string& b, std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, b.data() + at, sizeof v);
+    return v;
+  };
+  const auto append_u64 = [](std::string& out, std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  // magic(8) | header checksum(8) | version u32, reserved u32,
+  // section count u64 | sections: length u64, payload, checksum u64.
+  constexpr std::size_t kHeader = 16, kSections = 32;
+  const std::string& v2 = *bytes_;
+  const std::size_t options_at = kSections + 16 + u64_at(v2, kSections);
+  const std::string v2_options =
+      v2.substr(options_at + 8, u64_at(v2, options_at));
+  constexpr std::size_t kAfterMeasure = 8 + 8 + 8 + 1;
+  std::string v1_options = v2_options.substr(0, kAfterMeasure);
+  v1_options.push_back('\1');     // parallel_advance
+  append_u64(v1_options, 4096);  // parallel_threshold
+  v1_options += v2_options.substr(kAfterMeasure);
+
+  std::string header = v2.substr(kHeader, kSections - kHeader);
+  const std::uint32_t version = 1;
+  std::memcpy(header.data(), &version, sizeof version);
+  std::string v1 = v2.substr(0, 8);
+  append_u64(v1, graph::fnv1a64(header.data(), header.size()));
+  v1 += header;
+  v1 += v2.substr(kSections, options_at - kSections);  // meta section
+  append_u64(v1, v1_options.size());
+  v1 += v1_options;
+  append_u64(v1, graph::fnv1a64(v1_options.data(), v1_options.size()));
+  v1 += v2.substr(options_at + 16 + v2_options.size());
+
+  try {
+    deserialize_checkpoint(v1);
+    FAIL() << "version-1 checkpoint accepted";
+  } catch (const graph::GraphIoError& e) {
+    EXPECT_EQ(e.error_class(), graph::IoErrorClass::kVersion) << e.what();
   }
 }
 

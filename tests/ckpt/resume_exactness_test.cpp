@@ -28,7 +28,6 @@ core::SelfTuningOptions base_options() {
   core::SelfTuningOptions options;
   options.set_point = 600.0;
   options.measure_controller_time = false;  // bit-deterministic trajectory
-  options.parallel_threshold = 16;  // exercise the parallel pipeline
   return options;
 }
 

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "util/thread_pool.hpp"
+
 namespace sssp::core {
 namespace {
 
@@ -224,6 +226,35 @@ TEST(PartitionedFarQueue, RepeatedTighteningBuildsManyPartitions) {
   std::vector<VertexId> frontier;
   q.pull_below(kInfiniteDistance, dist, frontier);
   EXPECT_EQ(frontier.size(), 100u);
+}
+
+// A spill large enough for the pooled bulk push must land exactly as
+// pushing it entry by entry in input order would, behind the entries
+// already queued, at any pool size.
+TEST(PartitionedFarQueue, BulkPushMatchesSerialPushesAtEveryPoolSize) {
+  constexpr std::size_t kN = 10000;
+  std::vector<Distance> dist(kN);
+  std::vector<VertexId> spill(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    dist[i] = 1 + (i * 7919) % 60000;
+    spill[i] = static_cast<VertexId>((i * 7) % kN);  // scrambled order
+  }
+  const auto seeded = [] {
+    PartitionedFarQueue q(30000);
+    q.push(0, 10);
+    q.push(1, 40000);
+    return q;
+  };
+  PartitionedFarQueue serial = seeded();
+  for (const VertexId v : spill) serial.push(v, dist[v]);
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    util::ThreadPool::set_global_threads(threads);
+    PartitionedFarQueue bulk = seeded();
+    bulk.push_bulk(spill, dist);
+    EXPECT_EQ(bulk.size(), serial.size()) << "threads=" << threads;
+    EXPECT_EQ(bulk.state(), serial.state()) << "threads=" << threads;
+  }
+  util::ThreadPool::set_global_threads(0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // budget behaviour across gains, budgets, and devices.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/power_feedback.hpp"
@@ -11,8 +12,11 @@
 namespace sssp::core {
 namespace {
 
+// The device is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put a per-build address into the
+// test's listed name.
 using Case = std::tuple<double /*budget_w*/, double /*gain*/,
-                        const char* /*device*/>;
+                        std::string /*device*/>;
 
 class PowerFeedbackProperty : public ::testing::TestWithParam<Case> {
  protected:
@@ -41,7 +45,7 @@ graph::VertexId PowerFeedbackProperty::source_ = 0;
 
 TEST_P(PowerFeedbackProperty, ExactAndWellFormed) {
   const auto [budget, gain, device_name] = GetParam();
-  const sim::DeviceSpec device = std::string(device_name) == "tx1"
+  const sim::DeviceSpec device = device_name == "tx1"
                                      ? sim::DeviceSpec::jetson_tx1()
                                      : sim::DeviceSpec::jetson_tk1();
   PowerFeedbackOptions options;
@@ -69,7 +73,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PowerFeedbackProperty,
     ::testing::Combine(::testing::Values(4.0, 5.5, 50.0),
                        ::testing::Values(0.1, 0.5, 2.0),
-                       ::testing::Values("tk1", "tx1")),
+                       ::testing::Values(std::string("tk1"),
+                                         std::string("tx1"))),
     [](const ::testing::TestParamInfo<Case>& tpi) {
       return "budget" +
              std::to_string(static_cast<int>(std::get<0>(tpi.param) * 10)) +

@@ -136,18 +136,6 @@ TEST(SelfTuning, LowerVariabilityThanTimeMinimizingBaselineTail) {
   EXPECT_GT(tuned.average_parallelism(), baseline.average_parallelism());
 }
 
-TEST(SelfTuning, ParallelAdvanceExactWithValidTree) {
-  const auto g = random_graph(6000, 6.0, 99, 52);
-  SelfTuningOptions options;
-  options.set_point = 5000.0;
-  options.parallel_advance = true;
-  const auto r = self_tuning_sssp(g, 0, options);
-  EXPECT_EQ(algo::count_distance_mismatches(r.distances,
-                                            dijkstra_distances(g, 0)),
-            0u);
-  EXPECT_EQ(algo::count_tree_violations(g, r), 0u);
-}
-
 TEST(SelfTuning, RecordsModelEstimates) {
   // On a ring every frontier vertex has out-degree exactly 1, so the
   // ADVANCE-MODEL's d must converge to 1 and is recorded per iteration.

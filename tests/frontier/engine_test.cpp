@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "fault/failpoint.hpp"
 #include "graph/builder.hpp"
+#include "obs/metrics.hpp"
+#include "tests/sssp/test_graphs.hpp"
 
 namespace sssp::frontier {
 namespace {
@@ -155,6 +161,43 @@ TEST(NearFarEngine, ReAdvancingImprovedVertexPropagates) {
   }
   EXPECT_EQ(engine.distance(1), 2u);
   EXPECT_EQ(engine.distance(3), 3u);
+}
+
+// Memory-budget degrade (docs/ROBUSTNESS.md, "Resource budgets &
+// exhaustion"): when res.engine.alloc refuses a high-water reserve, the
+// engine skips it and lets the vector grow on demand. The sweep routes
+// every updated vertex through the spill and back in through inject(),
+// whose reserve grows with the frontier, so refusals really happen —
+// and the distances and parents must equal the unarmed run's.
+TEST(NearFarEngine, RefusedReservesKeepResultsIdentical) {
+  const CsrGraph g = algo::testing::random_graph(3000, 6.0, 99, 5);
+  const auto sweep = [&] {
+    NearFarEngine engine(g, 0);
+    std::vector<VertexId> refill;
+    while (!engine.frontier_empty()) {
+      engine.advance_and_filter();
+      engine.bisect(0);  // everything spills
+      refill.assign(engine.spill().begin(), engine.spill().end());
+      engine.clear_spill();
+      engine.inject(refill);
+    }
+    return std::pair(engine.distances(), engine.parents());
+  };
+  const auto reference = sweep();
+
+  obs::Counter& skipped =
+      obs::MetricsRegistry::global().counter("engine.reserve.skipped");
+  skipped.reset();
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  fault::FailpointRegistry::global().arm("res.engine.alloc");
+  const auto refused = sweep();
+  fault::FailpointRegistry::global().disarm_all();
+  obs::set_metrics_enabled(metrics_were_enabled);
+
+  EXPECT_GT(skipped.value(), 0u);
+  EXPECT_EQ(refused.first, reference.first);
+  EXPECT_EQ(refused.second, reference.second);
 }
 
 }  // namespace

@@ -1,17 +1,15 @@
-// Parallel-advance determinism and correctness: the pipeline relaxes
-// from an iteration-start snapshot and merges with count → exclusive-
-// prefix-sum → write over canonical edge ranks, so the updated
-// frontier's ORDERING, the per-iteration X1/X2/X3 statistics, the
-// parent tree, and the distances are all bit-identical at any thread
-// count, any chunking mode, and any schedule — not merely "distances
-// exact". These tests pin that contract.
+// Engines running in parallel: the advance is serial, so parallelism
+// comes from running several engines at once on the host pool, the way
+// independent batch lanes and serve workers do. A sweep must not notice
+// its neighbours: its frontier ordering, per-iteration X1/X2/X3 and
+// improving counts, parents, and distances are bit-identical to a lone
+// sweep at any pool size. These tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <vector>
 
-#include "fault/failpoint.hpp"
 #include "frontier/engine.hpp"
 #include "graph/types.hpp"
 #include "tests/sssp/test_graphs.hpp"
@@ -33,9 +31,8 @@ struct SweepTrace {
   bool operator==(const SweepTrace&) const = default;
 };
 
-SweepTrace run_sweep(const graph::CsrGraph& g, graph::VertexId source,
-                     const NearFarEngine::Options& options) {
-  NearFarEngine engine(g, source, options);
+SweepTrace run_sweep(const graph::CsrGraph& g, graph::VertexId source) {
+  NearFarEngine engine(g, source);
   SweepTrace trace;
   while (!engine.frontier_empty()) {
     const auto advance = engine.advance_and_filter();
@@ -50,10 +47,39 @@ SweepTrace run_sweep(const graph::CsrGraph& g, graph::VertexId source,
   return trace;
 }
 
-// Parent tree exactness: every reached vertex's parent edge achieves
-// its distance, the source is its own parent, unreached have none.
-void expect_parents_exact(const graph::CsrGraph& g, graph::VertexId source,
-                          const SweepTrace& trace) {
+// One sweep per source, all at once on the global pool.
+std::vector<SweepTrace> run_sweeps_in_parallel(
+    const graph::CsrGraph& g, const std::vector<graph::VertexId>& sources) {
+  std::vector<SweepTrace> traces(sources.size());
+  util::for_each_chunk(sources.size(), [&](std::size_t i, std::size_t) {
+    traces[i] = run_sweep(g, sources[i]);
+  });
+  return traces;
+}
+
+std::vector<graph::VertexId> spread_sources(const graph::CsrGraph& g) {
+  std::vector<graph::VertexId> sources;
+  for (graph::VertexId i = 0; i < 8; ++i)
+    sources.push_back(static_cast<graph::VertexId>(
+        (i * g.num_vertices()) / 8));
+  return sources;
+}
+
+// Exactness certificate: no edge can still lower a distance (upper
+// bound holds everywhere), and every reached vertex's parent edge
+// achieves its distance (the tree realizes it); the source is its own
+// parent, unreached vertices have none.
+void expect_exact(const graph::CsrGraph& g, graph::VertexId source,
+                  const SweepTrace& trace) {
+  for (graph::VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (trace.distances[u] == kInfiniteDistance) continue;
+    const auto neighbors = g.neighbors(u);
+    const auto weights = g.weights_of(u);
+    for (std::size_t i = 0; i < neighbors.size(); ++i)
+      EXPECT_LE(trace.distances[neighbors[i]],
+                trace.distances[u] + weights[i])
+          << "edge " << u << "->" << neighbors[i] << " still relaxes";
+  }
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
     if (trace.distances[v] == kInfiniteDistance) {
       EXPECT_EQ(trace.parents[v], graph::kInvalidVertex) << "vertex " << v;
@@ -85,91 +111,42 @@ class ParallelEngineTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ParallelEngineTest, ParallelSweepBitIdenticalAcrossThreadCounts) {
   const std::uint64_t seed = GetParam();
   const auto g = algo::testing::random_graph(3000, 6.0, 99, seed);
+  const auto sources = spread_sources(g);
 
-  util::ThreadPool::set_global_threads(1);
-  const SweepTrace reference =
-      run_sweep(g, 0, {.parallel = true, .parallel_threshold = 1});
-  for (const std::size_t threads : {2, 4, 8}) {
+  std::vector<SweepTrace> lone;
+  for (const graph::VertexId source : sources)
+    lone.push_back(run_sweep(g, source));
+  for (const std::size_t threads : {1, 2, 4, 8}) {
     util::ThreadPool::set_global_threads(threads);
-    const SweepTrace trace =
-        run_sweep(g, 0, {.parallel = true, .parallel_threshold = 1});
-    EXPECT_EQ(trace, reference) << "threads=" << threads;
+    const std::vector<SweepTrace> traces = run_sweeps_in_parallel(g, sources);
+    for (std::size_t i = 0; i < sources.size(); ++i)
+      EXPECT_EQ(traces[i], lone[i])
+          << "threads=" << threads << " source=" << sources[i];
   }
-  util::ThreadPool::set_global_threads(0);
-}
-
-TEST_P(ParallelEngineTest, PartitionModeDoesNotChangeResults) {
-  const std::uint64_t seed = GetParam();
-  const auto g = algo::testing::random_graph(3000, 6.0, 99, seed ^ 0xABC);
-  util::ThreadPool::set_global_threads(4);
-  NearFarEngine::Options options{.parallel = true, .parallel_threshold = 1};
-  options.partition = NearFarEngine::Options::Partition::kEdgeBalanced;
-  const SweepTrace edge_balanced = run_sweep(g, 0, options);
-  options.partition = NearFarEngine::Options::Partition::kVertexBalanced;
-  const SweepTrace vertex_balanced = run_sweep(g, 0, options);
-  // Chunk grain changes results... never. Only wall-clock.
-  options.min_chunk_edges = 1;
-  options.partition = NearFarEngine::Options::Partition::kEdgeBalanced;
-  const SweepTrace fine_grained = run_sweep(g, 0, options);
-  EXPECT_EQ(vertex_balanced, edge_balanced);
-  EXPECT_EQ(fine_grained, edge_balanced);
   util::ThreadPool::set_global_threads(0);
 }
 
 TEST_P(ParallelEngineTest, ParallelSweepDistancesExact) {
   const std::uint64_t seed = GetParam();
-  const auto g = algo::testing::random_graph(3000, 6.0, 99, seed);
-
-  const SweepTrace serial = run_sweep(g, 0, {.parallel = false});
-  // Threshold 1: every advance takes the parallel path.
-  const SweepTrace parallel =
-      run_sweep(g, 0, {.parallel = true, .parallel_threshold = 1});
-
-  EXPECT_EQ(parallel.distances, serial.distances);
-  expect_parents_exact(g, 0, serial);
-  expect_parents_exact(g, 0, parallel);
-  // The first iteration starts from an identical frontier ({source}), so
-  // its X1/X2 are schedule-independent set properties.
-  ASSERT_FALSE(parallel.stats.empty());
-  EXPECT_EQ(parallel.stats.front()[0], serial.stats.front()[0]);
-  EXPECT_EQ(parallel.stats.front()[1], serial.stats.front()[1]);
-  // Filter dedup bounds hold in every iteration.
-  for (const auto& it : parallel.stats) {
-    EXPECT_LE(it[2], it[1]);  // x3 <= x2
-  }
-}
-
-TEST_P(ParallelEngineTest, MixedModeDistancesExact) {
-  const std::uint64_t seed = GetParam();
   const auto g = algo::testing::random_graph(3000, 6.0, 99, seed ^ 0xF00);
-  const SweepTrace serial = run_sweep(g, 5, {.parallel = false});
-  // Mid threshold: small frontiers run serial, large ones parallel.
-  const SweepTrace mixed =
-      run_sweep(g, 5, {.parallel = true, .parallel_threshold = 512});
-  EXPECT_EQ(mixed.distances, serial.distances);
-  expect_parents_exact(g, 5, mixed);
+  const auto sources = spread_sources(g);
+
+  util::ThreadPool::set_global_threads(4);
+  const std::vector<SweepTrace> traces = run_sweeps_in_parallel(g, sources);
+  util::ThreadPool::set_global_threads(0);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    expect_exact(g, sources[i], traces[i]);
+    // Filter dedup bound holds in every iteration.
+    for (const auto& it : traces[i].stats) EXPECT_LE(it[2], it[1]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-TEST(ParallelEngine, ParentsStayValidInEveryMode) {
-  const auto g = algo::testing::random_graph(6000, 5.0, 99, 8);
-  NearFarEngine serial_engine(g, 0, {.parallel = false});
-  EXPECT_TRUE(serial_engine.parents_valid());
-
-  NearFarEngine parallel_engine(g, 0,
-                                {.parallel = true, .parallel_threshold = 1});
-  EXPECT_TRUE(parallel_engine.parents_valid());
-  parallel_engine.advance_and_filter();
-  // The deterministic pipeline maintains parents during the advance —
-  // the historical "re-derive after parallel runs" caveat is gone.
-  EXPECT_TRUE(parallel_engine.parents_valid());
-}
-
 TEST(ParallelEngine, UpdatedFrontierIsDuplicateFree) {
   const auto g = algo::testing::random_graph(4000, 8.0, 9, 3);
-  NearFarEngine engine(g, 0, {.parallel = true, .parallel_threshold = 1});
+  NearFarEngine engine(g, 0);
   while (!engine.frontier_empty()) {
     engine.advance_and_filter();
     engine.bisect(kInfiniteDistance);
@@ -179,72 +156,6 @@ TEST(ParallelEngine, UpdatedFrontierIsDuplicateFree) {
     EXPECT_EQ(std::adjacent_find(frontier.begin(), frontier.end()),
               frontier.end());
   }
-}
-
-TEST(ParallelEngine, UpdatedFrontierOrderIsWinningEdgeRankOrder) {
-  // The merge contract: the updated frontier is ordered by each
-  // vertex's winning edge rank (frontier position × adjacency order).
-  // Recompute the expected order from first principles for one step.
-  const auto g = algo::testing::random_graph(2000, 7.0, 50, 11);
-  util::ThreadPool::set_global_threads(4);
-
-  NearFarEngine engine(g, 0, {.parallel = true, .parallel_threshold = 1});
-  // A couple of warm-up iterations so the frontier is interesting.
-  for (int i = 0; i < 2 && !engine.frontier_empty(); ++i) {
-    engine.advance_and_filter();
-    engine.bisect(kInfiniteDistance);
-  }
-  if (engine.frontier_empty()) GTEST_SKIP() << "graph too small";
-
-  const std::vector<graph::VertexId> frontier(engine.frontier().begin(),
-                                              engine.frontier().end());
-  const std::vector<graph::Distance> dist_before = engine.distances();
-  engine.advance_and_filter();
-  const auto& dist_after = engine.distances();
-
-  // Expected order: walk frontier × adjacency in rank order; a vertex is
-  // emitted at the first edge achieving its final (improved) distance.
-  std::vector<graph::VertexId> expected;
-  std::vector<char> emitted(g.num_vertices(), 0);
-  for (const graph::VertexId u : frontier) {
-    const auto neighbors = g.neighbors(u);
-    const auto weights = g.weights_of(u);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const graph::VertexId v = neighbors[i];
-      if (emitted[v] || dist_after[v] >= dist_before[v]) continue;
-      if (dist_before[u] + weights[i] == dist_after[v]) {
-        emitted[v] = 1;
-        expected.push_back(v);
-      }
-    }
-  }
-  engine.bisect(kInfiniteDistance);
-  const std::vector<graph::VertexId> actual(engine.frontier().begin(),
-                                            engine.frontier().end());
-  EXPECT_EQ(actual, expected);
-  util::ThreadPool::set_global_threads(0);
-}
-
-// Memory-budget degrade (docs/ROBUSTNESS.md, "Resource budgets &
-// exhaustion"): when the parallel scratch preflight is refused, the
-// engine falls back to the serial advance *before* mutating anything —
-// the sweep completes with exact distances and a valid parent tree
-// (the serial advance breaks parent ties differently, so parents are
-// exact but not byte-identical to the parallel run's).
-TEST(ParallelEngine, BudgetRefusalDegradesToSerialWithIdenticalResults) {
-  const auto g = algo::testing::random_graph(3000, 6.0, 99, 5);
-  util::ThreadPool::set_global_threads(4);
-  const NearFarEngine::Options options{.parallel = true,
-                                       .parallel_threshold = 1};
-  const SweepTrace reference = run_sweep(g, 0, options);
-
-  fault::FailpointRegistry::global().arm("res.engine.alloc");
-  const SweepTrace degraded = run_sweep(g, 0, options);
-  fault::FailpointRegistry::global().disarm_all();
-
-  EXPECT_EQ(degraded.distances, reference.distances);
-  expect_parents_exact(g, 0, degraded);
-  util::ThreadPool::set_global_threads(0);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // and per-iteration statistics (X1/X2/X3/X4, improving relaxations,
 // rebalance work, far-queue sizes, delta trajectory) whether the global
 // pool has 1, 2, 4, or 8 threads — the contract that makes recorded
-// workloads machine-independent with parallel advance on by default.
+// workloads machine-independent. The engine advances serially; the
+// pool still runs the far queue's bulk push on large spills.
 // A failpoint-armed run rides along: fault-injection campaigns must be
 // equally reproducible at any thread count.
 #include <gtest/gtest.h>
@@ -89,8 +90,6 @@ core::SelfTuningOptions self_tuning_options() {
   // Wall-clock measurements are inherently nondeterministic; everything
   // else in the fingerprint must be bit-stable.
   options.measure_controller_time = false;
-  options.parallel_advance = true;
-  options.parallel_threshold = 1;  // force the parallel path everywhere
   return options;
 }
 
@@ -114,22 +113,14 @@ TEST(ParallelDeterminism, NearFarOnRoad) {
   const auto& g = road();
   const auto src = graph::max_degree_vertex(g);
   expect_identical_at_every_thread_count(
-      [&] {
-        return algo::near_far(g, src, {.parallel = true,
-                                       .parallel_threshold = 1});
-      },
-      "near-far/road");
+      [&] { return algo::near_far(g, src); }, "near-far/road");
 }
 
 TEST(ParallelDeterminism, NearFarOnRmat) {
   const auto& g = rmat();
   const auto src = graph::max_degree_vertex(g);
   expect_identical_at_every_thread_count(
-      [&] {
-        return algo::near_far(g, src, {.parallel = true,
-                                       .parallel_threshold = 1});
-      },
-      "near-far/rmat");
+      [&] { return algo::near_far(g, src); }, "near-far/rmat");
 }
 
 TEST(ParallelDeterminism, FailpointArmedRunIsReproducible) {

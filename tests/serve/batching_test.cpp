@@ -105,27 +105,23 @@ TEST(BatchingTest, BatchedChecksumMatchesUnbatched) {
   solo.drain();
   ASSERT_EQ(solo.stats().batches, 0u);
 
-  for (const char* strategy : {"fused", "independent"}) {
-    ServerOptions options;
-    options.workers = 1;
-    options.batch_strategy = algo::parse_batch_strategy(strategy);
-    Server server(g, options);
-    Collector c;
-    server.submit(query("a", 33), c.sink());
-    server.submit(query("b", 500), c.sink());
-    server.submit(query("c", 77), c.sink());
-    server.start();
-    ASSERT_TRUE(c.wait_for(3));
-    server.drain();
-    EXPECT_GE(server.stats().batches, 1u) << strategy;
+  ServerOptions options;
+  options.workers = 1;
+  Server server(g, options);
+  Collector c;
+  server.submit(query("a", 33), c.sink());
+  server.submit(query("b", 500), c.sink());
+  server.submit(query("c", 77), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(3));
+  server.drain();
+  EXPECT_GE(server.stats().batches, 1u);
 
-    std::lock_guard<std::mutex> lock(c.mu);
-    for (const Response& r : c.responses) {
-      EXPECT_EQ(r.status, Status::kOk) << strategy << " " << r.id;
-      if (r.id == "a") {
-        EXPECT_EQ(r.dist_checksum, solo_c.responses[0].dist_checksum)
-            << strategy;
-      }
+  std::lock_guard<std::mutex> lock(c.mu);
+  for (const Response& r : c.responses) {
+    EXPECT_EQ(r.status, Status::kOk) << r.id;
+    if (r.id == "a") {
+      EXPECT_EQ(r.dist_checksum, solo_c.responses[0].dist_checksum);
     }
   }
 }

@@ -52,8 +52,8 @@ struct ThreadGuard {
 };
 
 // The acceptance bar: every lane's distances byte-match the
-// single-source near-far run, for both strategies, at thread counts
-// {1, 4, 8}, on a road-class and an R-MAT-class graph.
+// single-source near-far run at thread counts {1, 4, 8}, on a
+// road-class and an R-MAT-class graph.
 TEST(BatchEngine, LanesMatchSingleSourceAcrossThreadsAndStrategies) {
   ThreadGuard guard;
   for (const auto& g : {road_fixture(), rmat_fixture()}) {
@@ -64,98 +64,47 @@ TEST(BatchEngine, LanesMatchSingleSourceAcrossThreadsAndStrategies) {
     for (const auto source : sources)
       baseline.push_back(near_far(g, source, {}));
 
-    for (const auto strategy :
-         {BatchStrategy::kFused, BatchStrategy::kIndependent}) {
-      for (const std::size_t threads : {1u, 4u, 8u}) {
-        util::ThreadPool::set_global_threads(threads);
-        BatchOptions options;
-        options.strategy = strategy;
-        // Exercise the parallel fused pipeline even on small frontiers.
-        options.parallel_threshold = 2;
-        const auto batch = run_batch(g, sources, options);
-        ASSERT_EQ(batch.lanes.size(), sources.size());
-        for (std::size_t l = 0; l < sources.size(); ++l) {
-          const auto& lane = batch.lanes[l];
-          ASSERT_EQ(lane.distances.size(), baseline[l].distances.size());
-          EXPECT_EQ(0, std::memcmp(lane.distances.data(),
-                                   baseline[l].distances.data(),
-                                   lane.distances.size() *
-                                       sizeof(graph::Distance)))
-              << to_string(strategy) << " threads=" << threads
-              << " lane=" << l << " source=" << sources[l];
-        }
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      util::ThreadPool::set_global_threads(threads);
+      const auto batch = run_batch(g, sources);
+      ASSERT_EQ(batch.lanes.size(), sources.size());
+      for (std::size_t l = 0; l < sources.size(); ++l) {
+        const auto& lane = batch.lanes[l];
+        ASSERT_EQ(lane.distances.size(), baseline[l].distances.size());
+        EXPECT_EQ(0, std::memcmp(lane.distances.data(),
+                                 baseline[l].distances.data(),
+                                 lane.distances.size() *
+                                     sizeof(graph::Distance)))
+            << "threads=" << threads << " lane=" << l
+            << " source=" << sources[l];
+        EXPECT_EQ(lane.iterations, baseline[l].iterations)
+            << "threads=" << threads << " lane=" << l;
       }
     }
   }
 }
 
-// The fused shared trace — per-iteration stats included — must be
-// bit-identical at any thread count (the PR 3 determinism bar extended
-// to the batch).
-TEST(BatchEngine, FusedTraceIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  const auto g = rmat_fixture();
-  const auto sources = pick_sources(g, 8);
-
-  BatchOptions options;
-  options.parallel_threshold = 2;
-  std::vector<std::vector<frontier::IterationStats>> traces;
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    util::ThreadPool::set_global_threads(threads);
-    traces.push_back(run_batch(g, sources, options).batch_iterations);
-  }
-  for (std::size_t i = 1; i < traces.size(); ++i) {
-    ASSERT_EQ(traces[i].size(), traces[0].size());
-    for (std::size_t it = 0; it < traces[0].size(); ++it) {
-      EXPECT_EQ(traces[i][it].x1, traces[0][it].x1) << "iteration " << it;
-      EXPECT_EQ(traces[i][it].x2, traces[0][it].x2) << "iteration " << it;
-      EXPECT_EQ(traces[i][it].x3, traces[0][it].x3) << "iteration " << it;
-      EXPECT_EQ(traces[i][it].x4, traces[0][it].x4) << "iteration " << it;
-      EXPECT_EQ(traces[i][it].improving_relaxations,
-                traces[0][it].improving_relaxations)
-          << "iteration " << it;
-      EXPECT_EQ(traces[i][it].far_queue_size, traces[0][it].far_queue_size)
-          << "iteration " << it;
-    }
-  }
-}
-
-// Parents are a canonical derivation from final distances, so they are
-// identical under either strategy, and every lane certifies.
+// Parents are a canonical derivation from final distances, independent
+// of the relaxation order and the thread count, and every lane
+// certifies.
 TEST(BatchEngine, ParentsCanonicalAndEveryLaneCertifies) {
+  ThreadGuard guard;
   const auto g = road_fixture();
   const auto sources = pick_sources(g, 5);
 
-  BatchOptions fused;
-  fused.strategy = BatchStrategy::kFused;
-  BatchOptions independent;
-  independent.strategy = BatchStrategy::kIndependent;
-  const auto a = run_batch(g, sources, fused);
-  const auto b = run_batch(g, sources, independent);
+  util::ThreadPool::set_global_threads(1);
+  const auto a = run_batch(g, sources);
+  util::ThreadPool::set_global_threads(4);
+  const auto b = run_batch(g, sources);
   ASSERT_EQ(a.lanes.size(), b.lanes.size());
   for (std::size_t l = 0; l < a.lanes.size(); ++l) {
+    EXPECT_EQ(a.lanes[l].parents,
+              derive_parents(g, a.lanes[l].distances, sources[l]))
+        << "lane " << l;
     EXPECT_EQ(a.lanes[l].parents, b.lanes[l].parents) << "lane " << l;
     const auto cert = verify::certify(g, a.lanes[l]);
     EXPECT_TRUE(cert.certified) << "lane " << l << ": " << cert.summary();
   }
-}
-
-// Fused amortization actually happens: the union run fetches fewer CSR
-// edges than K independent runs traverse in total.
-TEST(BatchEngine, FusedFetchesFewerEdgesThanIndependent) {
-  const auto g = road_fixture();
-  const auto sources = pick_sources(g, 8);
-
-  BatchOptions fused;
-  fused.strategy = BatchStrategy::kFused;
-  BatchOptions independent;
-  independent.strategy = BatchStrategy::kIndependent;
-  const auto a = run_batch(g, sources, fused);
-  const auto b = run_batch(g, sources, independent);
-  EXPECT_GT(a.edges_fetched, 0u);
-  EXPECT_LT(a.edges_fetched, b.edges_fetched);
-  EXPECT_FALSE(a.batch_iterations.empty());
-  EXPECT_TRUE(b.batch_iterations.empty());
 }
 
 // Failpoint drill: batch.lane.flip_dist corrupts exactly lane 0 after
@@ -181,7 +130,7 @@ TEST(BatchEngine, FlipDistFailpointFailsExactlyLaneZero) {
 }
 
 // Memory-budget degrade (docs/ROBUSTNESS.md, "Resource budgets &
-// exhaustion"): when the projected SoA lane bytes are refused, the
+// exhaustion"): when the projected lane bytes are refused, the
 // batch recursively splits in half down to K=1 instead of failing —
 // and every lane still matches the unconstrained run exactly.
 TEST(BatchEngine, MemoryRefusalSplitsBatchWithIdenticalResults) {
@@ -205,14 +154,9 @@ TEST(BatchEngine, MemoryRefusalSplitsBatchWithIdenticalResults) {
 TEST(BatchEngine, DuplicateSourcesProduceIdenticalLanes) {
   const auto g = testing::random_graph(2000, 5.0, 30, 11);
   const std::vector<graph::VertexId> sources = {17, 17, 17};
-  for (const auto strategy :
-       {BatchStrategy::kFused, BatchStrategy::kIndependent}) {
-    BatchOptions options;
-    options.strategy = strategy;
-    const auto batch = run_batch(g, sources, options);
-    EXPECT_EQ(batch.lanes[0].distances, batch.lanes[1].distances);
-    EXPECT_EQ(batch.lanes[1].distances, batch.lanes[2].distances);
-  }
+  const auto batch = run_batch(g, sources);
+  EXPECT_EQ(batch.lanes[0].distances, batch.lanes[1].distances);
+  EXPECT_EQ(batch.lanes[1].distances, batch.lanes[2].distances);
 }
 
 TEST(BatchEngine, RejectsBadInputs) {
@@ -222,14 +166,6 @@ TEST(BatchEngine, RejectsBadInputs) {
   EXPECT_THROW(run_batch(g, out_of_range, {}), std::invalid_argument);
   std::vector<graph::VertexId> too_many(kMaxBatchLanes + 1, 0);
   EXPECT_THROW(run_batch(g, too_many, {}), std::invalid_argument);
-}
-
-TEST(BatchEngine, StrategyNamesRoundTrip) {
-  EXPECT_STREQ(to_string(BatchStrategy::kFused), "fused");
-  EXPECT_STREQ(to_string(BatchStrategy::kIndependent), "independent");
-  EXPECT_EQ(parse_batch_strategy("fused"), BatchStrategy::kFused);
-  EXPECT_EQ(parse_batch_strategy("independent"), BatchStrategy::kIndependent);
-  EXPECT_THROW(parse_batch_strategy("bogus"), std::invalid_argument);
 }
 
 }  // namespace

@@ -90,36 +90,24 @@ TEST(MultiSource, BatchedOverloadSamplesIdenticalSources) {
   options.seed = 123;
 
   const auto sequential = run_multi_source(g, near_far_runner(0), options);
-  for (const auto strategy :
-       {BatchStrategy::kFused, BatchStrategy::kIndependent}) {
-    BatchOptions batch;
-    batch.strategy = strategy;
-    const auto batched = run_multi_source(g, batch, options);
-    EXPECT_EQ(batched.sources, sequential.sources);
-    EXPECT_EQ(batched.average_parallelism.size(), 6u);
-    EXPECT_EQ(batched.iteration_counts.size(), 6u);
-    EXPECT_GT(batched.mean_iterations, 0.0);
-    EXPECT_GT(batched.mean_improving_relaxations, 0.0);
-  }
+  const auto batched = run_multi_source(g, BatchOptions{}, options);
+  EXPECT_EQ(batched.sources, sequential.sources);
+  EXPECT_EQ(batched.average_parallelism.size(), 6u);
+  EXPECT_EQ(batched.iteration_counts.size(), 6u);
+  EXPECT_GT(batched.mean_iterations, 0.0);
+  EXPECT_GT(batched.mean_improving_relaxations, 0.0);
 }
 
-// Independent-strategy lanes run the very same serial near-far pipeline
-// per source, so the whole summary matches the runner overload exactly.
+// Batch lanes run the very same serial near-far pipeline per source, so
+// the whole summary matches the runner overload exactly.
 TEST(MultiSource, BatchedIndependentMatchesRunnerAggregates) {
   const auto g = testing::random_graph(1500, 4.0, 25, 33);
   MultiSourceOptions options;
   options.num_sources = 5;
   options.seed = 7;
 
-  const auto sequential = run_multi_source(
-      g,
-      [](const graph::CsrGraph& graph, graph::VertexId source) {
-        return near_far(graph, source, {.parallel = false});
-      },
-      options);
-  BatchOptions batch;
-  batch.strategy = BatchStrategy::kIndependent;
-  const auto batched = run_multi_source(g, batch, options);
+  const auto sequential = run_multi_source(g, near_far_runner(0), options);
+  const auto batched = run_multi_source(g, BatchOptions{}, options);
   EXPECT_EQ(batched.sources, sequential.sources);
   EXPECT_EQ(batched.iteration_counts, sequential.iteration_counts);
   EXPECT_EQ(batched.improving_relaxations, sequential.improving_relaxations);

@@ -89,32 +89,6 @@ TEST(NearFar, ZeroWeightCycleTerminates) {
   EXPECT_EQ(r.distances[2], 0u);
 }
 
-TEST(NearFar, ParallelModeExactWithValidTree) {
-  const auto g = testing::random_graph(5000, 6.0, 99, 44);
-  const SsspResult r = near_far(g, 0, {.delta = 100, .parallel = true});
-  EXPECT_EQ(count_distance_mismatches(r.distances, dijkstra_distances(g, 0)),
-            0u);
-  EXPECT_EQ(count_tree_violations(g, r), 0u);
-}
-
-TEST(NearFar, ParallelStatsWellFormed) {
-  // Per-iteration statistics are schedule-dependent with real threads
-  // (see NearFarEngine::Options), so assert the invariants rather than
-  // serial equality: exact distances, and the per-iteration bounds.
-  const auto g = testing::random_graph(5000, 6.0, 99, 45);
-  const SsspResult serial = near_far(g, 0, {.delta = 200});
-  const SsspResult parallel =
-      near_far(g, 0, {.delta = 200, .parallel = true});
-  EXPECT_EQ(parallel.distances, serial.distances);
-  for (const auto& it : parallel.iterations) {
-    EXPECT_LE(it.x3, it.improving_relaxations);
-    EXPECT_LE(it.improving_relaxations, it.x2);
-  }
-  // Identical first frontier -> identical first-iteration edge work.
-  ASSERT_FALSE(parallel.iterations.empty());
-  EXPECT_EQ(parallel.iterations.front().x2, serial.iterations.front().x2);
-}
-
 TEST(NearFar, MaxIterationsCapStopsEarly) {
   const auto g = testing::ring(1000);
   const SsspResult r = near_far(g, 0, {.delta = 1, .max_iterations = 10});

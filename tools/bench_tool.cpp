@@ -350,10 +350,10 @@ ServeBench measure_serve_mmap(const graph::CsrGraph& road, bool full) {
 }
 
 // Batched multi-source throughput (--multi-source): the same K = 8
-// hash-picked sources per pinned graph class solved three ways —
-// sequentially (K single-source near-far runs) and via both
-// batch-engine strategies (docs/PERFORMANCE.md, "Batched
-// multi-source"). Warmup runs are excluded, timed runs averaged.
+// hash-picked sources per pinned graph class solved two ways —
+// sequentially (K single-source near-far runs) and as one batch of
+// independent lanes (docs/PERFORMANCE.md, "Batched multi-source").
+// Warmup runs are excluded, timed runs averaged.
 // Informational like `serve`: reported as the `multi_source` section,
 // never gated — the gated speedup record lives in BENCH_frontier.json
 // via bench/multi_source.
@@ -363,7 +363,6 @@ struct MultiSourceBench {
   struct Row {
     std::string dataset;
     double sequential_seconds = 0.0;
-    double fused_seconds = 0.0;
     double independent_seconds = 0.0;
   };
   std::vector<Row> rows;
@@ -394,14 +393,8 @@ MultiSourceBench measure_multi_source(
     row.sequential_seconds = time_avg([&] {
       for (const graph::VertexId s : sources) (void)algo::near_far(g, s);
     });
-    algo::BatchOptions fused;
-    fused.strategy = algo::BatchStrategy::kFused;
-    row.fused_seconds =
-        time_avg([&] { (void)algo::run_batch(g, sources, fused); });
-    algo::BatchOptions independent;
-    independent.strategy = algo::BatchStrategy::kIndependent;
     row.independent_seconds =
-        time_avg([&] { (void)algo::run_batch(g, sources, independent); });
+        time_avg([&] { (void)algo::run_batch(g, sources); });
     bench.rows.push_back(row);
   }
   return bench;
@@ -483,16 +476,14 @@ void write_bench_json(std::ostream& out, const std::string& matrix, int runs,
     w.key("lanes").value(static_cast<std::uint64_t>(multi_bench.lanes));
     w.key("rows").begin_array();
     for (const MultiSourceBench::Row& row : multi_bench.rows) {
-      const auto speedup = [&](double s) {
-        return s > 0.0 ? row.sequential_seconds / s : 0.0;
-      };
       w.begin_object();
       w.key("dataset").value(row.dataset);
       w.key("sequential_seconds").value(row.sequential_seconds);
-      w.key("fused_seconds").value(row.fused_seconds);
       w.key("independent_seconds").value(row.independent_seconds);
-      w.key("fused_speedup").value(speedup(row.fused_seconds));
-      w.key("independent_speedup").value(speedup(row.independent_seconds));
+      w.key("independent_speedup")
+          .value(row.independent_seconds > 0.0
+                     ? row.sequential_seconds / row.independent_seconds
+                     : 0.0);
       w.end_object();
     }
     w.end_array();
@@ -657,7 +648,7 @@ int main(int argc, char** argv) {
                "`serve` section (informational, never gated)");
   flags.define("multi-source", "false",
                "also bench batched multi-source: K=8 pinned queries per "
-               "graph class, sequential vs fused vs independent, reported "
+               "graph class, sequential vs independent lanes, reported "
                "as the `multi_source` section (informational, never gated)");
   flags.define("overhead-check", "false",
                "assert disarmed SSSP_PROF_PHASE costs <= 1% of the advance "
@@ -746,12 +737,9 @@ int main(int argc, char** argv) {
       multi_bench = measure_multi_source(graphs, runs, warmup);
       for (const MultiSourceBench::Row& row : multi_bench.rows)
         std::printf(
-            "bench: multi-source %-12s seq %.4fs, fused %.4fs (%.2fx), "
-            "independent %.4fs (%.2fx)\n",
-            row.dataset.c_str(), row.sequential_seconds, row.fused_seconds,
-            row.fused_seconds > 0.0
-                ? row.sequential_seconds / row.fused_seconds
-                : 0.0,
+            "bench: multi-source %-12s seq %.4fs, independent %.4fs "
+            "(%.2fx)\n",
+            row.dataset.c_str(), row.sequential_seconds,
             row.independent_seconds,
             row.independent_seconds > 0.0
                 ? row.sequential_seconds / row.independent_seconds

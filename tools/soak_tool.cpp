@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   flags.define("ckpt-dir", ".", "directory for the soak checkpoints");
   flags.define("batch-rounds", "0",
                "additional batched multi-source rounds: random lane count "
-               "and strategy per round, every lane certified; ~1/4 of "
+               "and threads per round, every lane certified; ~1/4 of "
                "rounds arm batch.lane.flip_dist and the corrupted lane "
                "must FAIL certification");
   flags.define("exhaustion-rounds", "0",
@@ -306,16 +306,11 @@ int main(int argc, char** argv) {
       }
       const std::size_t threads = threads_list[rng() % threads_list.size()];
       util::ThreadPool::set_global_threads(threads);
-      const algo::BatchStrategy strategy =
-          rng() % 2 == 0 ? algo::BatchStrategy::kFused
-                         : algo::BatchStrategy::kIndependent;
       const bool drill = rng() % 4 == 0;
       registry.disarm_all();
       if (drill) registry.arm("batch.lane.flip_dist");
 
-      algo::BatchOptions boptions;
-      boptions.strategy = strategy;
-      const algo::BatchResult batch = algo::run_batch(g, sources, boptions);
+      const algo::BatchResult batch = algo::run_batch(g, sources);
       registry.disarm_all();
 
       verify::CertifyOptions copts;
@@ -347,10 +342,9 @@ int main(int argc, char** argv) {
       }
       ok ? ++stats.certified : ++stats.failed;
       std::printf(
-          "batch round %llu: lanes=%zu strategy=%s threads=%zu drill=%s "
+          "batch round %llu: lanes=%zu threads=%zu drill=%s "
           "certification=%s\n",
-          static_cast<unsigned long long>(round), lanes,
-          algo::to_string(strategy), threads,
+          static_cast<unsigned long long>(round), lanes, threads,
           drill ? (caught != 0 ? "caught" : "MISSED") : "off",
           ok ? "PASS" : "FAILED");
     }

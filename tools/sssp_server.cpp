@@ -310,8 +310,6 @@ int main(int argc, char** argv) {
   flags.define("batch-max", "8",
                "coalesce up to this many compatible queued near-far "
                "queries into one batched run (1 disables)");
-  flags.define("batch-strategy", "independent",
-               "batched run strategy: fused | independent");
   flags.define("sample-reports", "0",
                "publish the full per-iteration trace of the first N "
                "freshly solved queries in the run report");
@@ -396,8 +394,6 @@ int main(int argc, char** argv) {
     options.batch_max =
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      flags.get_int("batch-max")));
-    options.batch_strategy =
-        algo::parse_batch_strategy(flags.get_string("batch-strategy"));
     options.sample_reports =
         static_cast<std::size_t>(flags.get_int("sample-reports"));
     options.cache_max_bytes =
@@ -452,7 +448,6 @@ int main(int argc, char** argv) {
           "--default-algorithm", options.default_algorithm,
           "--set-point", flags.get_string("set-point"),
           "--batch-max", flags.get_string("batch-max"),
-          "--batch-strategy", flags.get_string("batch-strategy"),
           "--threads", flags.get_string("threads"),
           "--cache-max-mb", flags.get_string("cache-max-mb"),
           "--scrub-interval-ms", flags.get_string("scrub-interval-ms"),
