@@ -310,24 +310,38 @@ std::string encode_engine(const frontier::NearFarEngine::State& engine) {
   return out;
 }
 
-frontier::NearFarEngine::State decode_engine(Cursor& cursor) {
+// Reads `count` raw elements. The declared count is checked against the
+// bytes left before anything is allocated: a forged count is structural
+// damage, not an allocation request (and count * sizeof(T) must not
+// wrap).
+template <typename T>
+void read_array(Cursor& cursor, std::uint64_t count, std::vector<T>& out) {
+  if (count > cursor.remaining() / sizeof(T))
+    throw GraphIoError(IoErrorClass::kTruncated, kFormat,
+                       "array length exceeds remaining data",
+                       GraphIoError::kNoPosition, cursor.offset());
+  out.resize(count);
+  if (count != 0)
+    std::memcpy(out.data(), cursor.take(count * sizeof(T)),
+                count * sizeof(T));
+}
+
+frontier::NearFarEngine::State decode_engine(Cursor& cursor,
+                                             std::uint64_t num_vertices) {
   frontier::NearFarEngine::State engine;
   const std::uint64_t n = cursor.read_u64();
-  engine.dist.resize(n);
-  std::memcpy(engine.dist.data(), cursor.take(n * sizeof(graph::Distance)),
-              n * sizeof(graph::Distance));
-  engine.parent.resize(n);
-  std::memcpy(engine.parent.data(), cursor.take(n * sizeof(graph::VertexId)),
-              n * sizeof(graph::VertexId));
+  if (n != num_vertices)
+    throw GraphIoError(IoErrorClass::kParse, kFormat,
+                       "engine vertex count does not match the meta section",
+                       GraphIoError::kNoPosition, cursor.offset());
+  read_array(cursor, n, engine.dist);
+  read_array(cursor, n, engine.parent);
   const std::uint64_t frontier_size = cursor.read_u64();
   if (frontier_size > n)
     throw GraphIoError(IoErrorClass::kParse, kFormat,
                        "frontier larger than vertex count",
                        GraphIoError::kNoPosition, cursor.offset());
-  engine.frontier.resize(frontier_size);
-  std::memcpy(engine.frontier.data(),
-              cursor.take(frontier_size * sizeof(graph::VertexId)),
-              frontier_size * sizeof(graph::VertexId));
+  read_array(cursor, frontier_size, engine.frontier);
   engine.total_improving = cursor.read_u64();
   engine.frontier_max_distance = cursor.read_u64();
   return engine;
@@ -357,6 +371,11 @@ core::PartitionedFarQueue::State decode_far(Cursor& cursor,
   if (partitions > max_entries + 2)
     throw GraphIoError(IoErrorClass::kParse, kFormat,
                        "far-queue partition count exceeds sanity bound",
+                       GraphIoError::kNoPosition, cursor.offset());
+  // 16 bytes per serialized partition header (bound + entry count).
+  if (partitions > cursor.remaining() / 16)
+    throw GraphIoError(IoErrorClass::kTruncated, kFormat,
+                       "far-queue partition count exceeds remaining data",
                        GraphIoError::kNoPosition, cursor.offset());
   far.bounds.resize(partitions);
   far.entries.resize(partitions);
@@ -549,7 +568,7 @@ RunState deserialize_checkpoint(std::string_view bytes) {
   {
     const std::string payload = read_section(cursor);
     Cursor section(payload);
-    state.snapshot.engine = decode_engine(section);
+    state.snapshot.engine = decode_engine(section, state.meta.num_vertices);
   }
   {
     const std::string payload = read_section(cursor);

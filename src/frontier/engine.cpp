@@ -33,10 +33,10 @@ struct EngineMetrics {
   }
 };
 
-// Headroom-checked high-water reserve (docs/ROBUSTNESS.md, "Resource
-// budgets & exhaustion"): when the budget refuses, the reserve is
-// skipped and the vector grows on demand — amortized-correct, just
-// slower — instead of dying in std::bad_alloc at the reserve.
+// Headroom-checked reserve (docs/ROBUSTNESS.md, "Resource budgets &
+// exhaustion"): when the budget refuses, the reserve is skipped and the
+// vector grows on demand — amortized-correct, just slower — instead of
+// dying in std::bad_alloc at the reserve.
 template <typename T>
 void reserve_within_budget(std::vector<T>& vec, std::size_t count) {
   if (count <= vec.capacity()) return;
@@ -80,7 +80,6 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_and_filter() {
     SSSP_TRACE_SPAN("filter");
     SSSP_PROF_PHASE("filter");
     updated_frontier_.clear();
-    reserve_within_budget(updated_frontier_, updated_high_water_);
     ++epoch_;
     if (epoch_ == 0) {  // wrapped: reset marks once every 2^32 iterations
       std::fill(mark_.begin(), mark_.end(), 0);
@@ -94,7 +93,6 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_and_filter() {
     result = relax_frontier();
   }
   total_improving_ += result.improving_relaxations;
-  updated_high_water_ = std::max<std::size_t>(updated_high_water_, result.x3);
   frontier_.clear();
   if (obs::metrics_enabled()) {
     EngineMetrics& m = EngineMetrics::get();
@@ -141,7 +139,6 @@ void NearFarEngine::partition_by_distance(
     std::vector<graph::VertexId>& below) {
   below.clear();
   frontier_max_distance_ = 0;
-  reserve_within_budget(spill_, spill_high_water_);
   for (const graph::VertexId v : input) {
     const graph::Distance d = dist_[v];
     if (d < threshold) {
@@ -151,7 +148,6 @@ void NearFarEngine::partition_by_distance(
       spill_.push_back(v);
     }
   }
-  spill_high_water_ = std::max(spill_high_water_, spill_.size());
 }
 
 std::uint64_t NearFarEngine::bisect(graph::Distance threshold) {
@@ -178,7 +174,6 @@ std::uint64_t NearFarEngine::demote_excess(std::size_t keep) {
   const std::uint64_t spilled = frontier_.size() - keep;
   spill_.insert(spill_.end(), frontier_.begin() + static_cast<std::ptrdiff_t>(keep),
                 frontier_.end());
-  spill_high_water_ = std::max(spill_high_water_, spill_.size());
   frontier_.resize(keep);
   frontier_max_distance_ = 0;
   for (const graph::VertexId v : frontier_)

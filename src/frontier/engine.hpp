@@ -173,10 +173,6 @@ class NearFarEngine {
   std::uint64_t total_improving_ = 0;
   graph::Distance frontier_max_distance_ = 0;
   std::vector<graph::VertexId> partition_scratch_;  // demote output buffer
-  // High-water marks from previous iterations, used to reserve output
-  // buffers up front instead of growing them from empty every time.
-  std::size_t updated_high_water_ = 0;
-  std::size_t spill_high_water_ = 0;
 };
 
 }  // namespace sssp::frontier

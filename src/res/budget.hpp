@@ -1,6 +1,6 @@
 // Process-wide resource governance (docs/ROBUSTNESS.md, "Resource
 // budgets & exhaustion"). The big consumers — CSR graph load, the
-// frontier engine's high-water reserves, batch-engine SoA lanes,
+// frontier engine's re-injection reserve, batch-engine lanes,
 // checkpoint serialization, the serve result cache — ask the
 // ResourceBudget *before* allocating, so oversize work is rejected
 // with a structured ResourceError (tools exit kExitResourceBudget)
@@ -84,7 +84,7 @@ class ResourceBudget {
   // not hold a charge that would need releasing.
   void require_memory(std::uint64_t bytes, const char* site);
   // Non-throwing check-only form, for sites with a degradation path
-  // (skip a high-water reserve, fall back to serial advance).
+  // (skip a reserve, split a batch).
   bool check_memory(std::uint64_t bytes, const char* site) noexcept;
 
   // ---- scratch disk ----

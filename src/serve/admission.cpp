@@ -44,15 +44,12 @@ AdmissionQueue::PushOutcome AdmissionQueue::push(Ticket ticket) {
   return outcome;
 }
 
-std::optional<AdmissionQueue::Popped> AdmissionQueue::pop() {
+std::optional<Ticket> AdmissionQueue::pop() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
   if (queue_.empty()) return std::nullopt;  // closed and drained
-  Popped popped;
-  popped.ticket = std::move(queue_.front());
+  std::optional<Ticket> popped(std::move(queue_.front()));
   queue_.pop_front();
-  popped.expired =
-      std::chrono::steady_clock::now() >= popped.ticket.deadline;
   return popped;
 }
 

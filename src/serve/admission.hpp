@@ -9,8 +9,10 @@
 //   kDropOldest  the oldest queued query is displaced and shed, the new
 //                one is admitted — favors fresh traffic when stale
 //                queries are likely to miss their deadlines anyway.
-// Expired-in-queue queries are shed at pop, *before* execution: work
-// that cannot meet its deadline must not occupy a worker.
+// The queue does not look at deadlines: the server's execution path
+// sheds a query whose deadline passed while it was queued before it
+// does any work for it (docs/SERVING.md, "Execution path & query
+// coalescing").
 //
 // Thread-safety: all operations are mutex-guarded; pop blocks on a
 // condition variable until a ticket arrives or the queue closes. The
@@ -68,24 +70,17 @@ class AdmissionQueue {
   // the queue is full under kRejectNew or already closed.
   PushOutcome push(Ticket ticket);
 
-  struct Popped {
-    Ticket ticket;
-    // The ticket's deadline passed while it waited: the caller sheds it
-    // with `expired` instead of executing.
-    bool expired = false;
-  };
-
   // Blocks until a ticket is available or the queue is closed and
   // empty (nullopt — the worker's exit signal).
-  std::optional<Popped> pop();
+  std::optional<Ticket> pop();
 
-  // Non-blocking coalescing scan (docs/SERVING.md, "Query
-  // coalescing"): removes and returns up to `max_count` queued tickets
-  // matching `pred`, front to back, preserving the relative order of
-  // everything left behind. The predicate must be pure (it runs under
-  // the queue mutex). Used by workers to drain queries compatible with
-  // the one they just popped into a single batched solve; the returned
-  // tickets leave the queue exactly as a pop does, so the
+  // Non-blocking coalescing scan (docs/SERVING.md, "Execution path &
+  // query coalescing"): removes and returns up to `max_count` queued
+  // tickets matching `pred`, front to back, preserving the relative
+  // order of everything left behind. The predicate must be pure (it
+  // runs under the queue mutex). Used by workers to drain queries
+  // compatible with the one they just popped into the same execution;
+  // the returned tickets leave the queue exactly as a pop does, so the
   // one-response-per-ticket accounting is unchanged.
   std::vector<Ticket> pop_matching(
       const std::function<bool(const Ticket&)>& pred, std::size_t max_count);

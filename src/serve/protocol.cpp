@@ -19,6 +19,11 @@ const char* to_string(Status status) noexcept {
   return "unknown";
 }
 
+bool is_served_algorithm(std::string_view name) noexcept {
+  return name == "near-far" || name == "dijkstra" ||
+         name == "delta-stepping" || name == "self-tuning";
+}
+
 namespace {
 
 ParsedRequest reject(std::string id, std::string detail) {
@@ -96,8 +101,7 @@ ParsedRequest parse_request(std::string_view line,
     if (algo->type != obs::JsonValue::Type::kString)
       return reject(id, "'algorithm' must be a string");
     const std::string& name = algo->string;
-    if (name != "near-far" && name != "dijkstra" &&
-        name != "delta-stepping" && name != "self-tuning")
+    if (!is_served_algorithm(name))
       return reject(id, "unknown algorithm '" + name + "'");
     parsed.request.algorithm = name;
   }

@@ -38,6 +38,11 @@ enum class Status : std::uint8_t {
 
 const char* to_string(Status status) noexcept;
 
+// The algorithms the service solves with: near-far, dijkstra,
+// delta-stepping and self-tuning. The request parser and the server's
+// default-algorithm option both accept exactly these names.
+bool is_served_algorithm(std::string_view name) noexcept;
+
 // Validated query request. `cmd` distinguishes real queries from the
 // control verbs, all served inline without touching the admission
 // queue: "info" (graph shape + server limits), "health" (liveness:

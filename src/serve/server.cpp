@@ -1,8 +1,8 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 
 #include "ckpt/checkpoint.hpp"
@@ -14,7 +14,6 @@
 #include "sssp/batch_engine.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/near_far.hpp"
 #include "verify/certifier.hpp"
 
 namespace sssp::serve {
@@ -249,36 +248,26 @@ bool Server::batchable(const Ticket& ticket) const {
 
 void Server::worker_loop(std::size_t worker_id) {
   for (;;) {
-    std::optional<AdmissionQueue::Popped> popped = queue_.pop();
+    std::optional<Ticket> popped = queue_.pop();
     if (!popped.has_value()) return;  // closed and drained
-    set_gauge("serve.queue.depth", static_cast<double>(queue_.depth()));
-    Ticket& ticket = popped->ticket;
-    const double queue_ms = ms_between(ticket.admitted_at, Clock::now());
+    const double queue_ms = ms_between(popped->admitted_at, Clock::now());
     queue_wait_ms_.record(queue_ms);
     record_hist("serve.queue_wait.ms", queue_ms);
-    if (popped->expired) {
-      // Shed before execution: the deadline passed while queued.
-      shed_expired_queue_.fetch_add(1, std::memory_order_relaxed);
-      bump("serve.shed.expired");
-      Response response = make_shed(ticket.request, Status::kExpired,
-                                    "deadline expired in queue", false);
-      response.queue_ms = queue_ms;
-      respond(ticket, std::move(response));
-      continue;
-    }
 
     // Query coalescing: drain queued queries compatible with the one
     // just popped (same effective algorithm/delta/verify, deadline-free)
-    // into one batched run. The matched tickets left the queue exactly
-    // as a pop would, so in_flight_ covers the whole batch before any
-    // of it executes — drain sees them as running work, not lost slots.
+    // into the same execution. The matched tickets left the queue
+    // exactly as a pop would, so in_flight_ covers the whole batch
+    // before any of it executes — drain sees them as running work, not
+    // lost slots.
     std::vector<Ticket> batch;
-    if (options_.batch_max > 1 && batchable(ticket)) {
-      const Request& head = ticket.request;
+    batch.push_back(std::move(*popped));
+    if (options_.batch_max > 1 && batchable(batch.front())) {
+      const Request& head = batch.front().request;
       const int head_verify = head.verify >= 0
                                   ? head.verify
                                   : (options_.verify_default ? 1 : 0);
-      batch = queue_.pop_matching(
+      std::vector<Ticket> matched = queue_.pop_matching(
           [&](const Ticket& other) {
             if (!batchable(other)) return false;
             if (other.request.delta != head.delta) return false;
@@ -289,28 +278,111 @@ void Server::worker_loop(std::size_t worker_id) {
             return other_verify == head_verify;
           },
           std::min(options_.batch_max - 1, algo::kMaxBatchLanes - 1));
-      set_gauge("serve.queue.depth", static_cast<double>(queue_.depth()));
+      std::move(matched.begin(), matched.end(), std::back_inserter(batch));
     }
+    set_gauge("serve.queue.depth", static_cast<double>(queue_.depth()));
 
-    if (batch.empty()) {
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      execute(ticket, worker_id);
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    batch.insert(batch.begin(), std::move(ticket));
     in_flight_.fetch_add(batch.size(), std::memory_order_acq_rel);
-    execute_batch(batch, worker_id);
+    execute(batch, worker_id);
     in_flight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
   }
 }
 
-void Server::execute(Ticket& ticket, std::size_t worker_id) {
-  const Request& request = ticket.request;
+void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
   const Clock::time_point exec_start = Clock::now();
-  const double queue_ms = ms_between(ticket.admitted_at, exec_start);
+  // Only a lone ticket can carry a deadline: batchable() coalesces
+  // deadline-free tickets only.
+  const Clock::time_point deadline = batch.front().deadline;
+  if (exec_start >= deadline) {
+    // Shed before execution: the deadline passed while queued.
+    shed_expired_queue_.fetch_add(1, std::memory_order_relaxed);
+    bump("serve.shed.expired");
+    Response response = make_shed(batch.front().request, Status::kExpired,
+                                  "deadline expired in queue", false);
+    response.queue_ms = ms_between(batch.front().admitted_at, exec_start);
+    respond(batch.front(), std::move(response));
+    return;
+  }
+  if (batch.size() > 1) {
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
+    bump("serve.batch.runs");
+    if (obs::metrics_enabled())
+      obs::MetricsRegistry::global().counter("serve.batch.queries")
+          .add(batch.size());
+  }
+
+  // Every ticket shares the head's effective algorithm, delta and
+  // verify flag (worker_loop's compatibility predicate).
+  const Request& head = batch.front().request;
+  const std::string algorithm = head.algorithm.empty()
+                                    ? options_.default_algorithm
+                                    : head.algorithm;
+  const bool verify = head.verify >= 0 ? head.verify != 0
+                                       : options_.verify_default;
+  const double set_point =
+      head.set_point > 0.0 ? head.set_point : options_.set_point;
+  const std::string options_key = cache_options_key(
+      algorithm, head.delta, algorithm == "self-tuning" ? set_point : 0.0);
+  const auto key_for = [&](graph::VertexId source) {
+    CacheKey key;
+    key.fingerprint = fingerprint_;
+    key.source = source;
+    key.options_key = options_key;
+    return key;
+  };
+
+  // One response per ticket, on every path: `responded` tracks which
+  // tickets have been answered so the exception paths below can sweep
+  // up exactly the remainder.
+  std::vector<bool> responded(batch.size(), false);
+  std::vector<double> queue_ms(batch.size(), 0.0);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    queue_ms[i] = ms_between(batch[i].admitted_at, exec_start);
+  const auto answer = [&](std::size_t i, Response&& response,
+                          double run_ms) {
+    response.id = batch[i].request.id;
+    response.queue_ms = queue_ms[i];
+    response.run_ms = run_ms;
+    responded[i] = true;
+    respond(batch[i], std::move(response));
+  };
+  const auto fail = [&](std::size_t i, Status status, std::string error,
+                        double run_ms) {
+    Response response;
+    response.status = status;
+    response.error = std::move(error);
+    answer(i, std::move(response), run_ms);
+  };
+  const auto succeed = [&](std::size_t i, const CacheEntry& entry,
+                           bool cache_hit, bool certified, double run_ms) {
+    const Request& request = batch[i].request;
+    Response response;
+    response.status = Status::kOk;
+    response.algorithm = algorithm;
+    response.reached = entry.result.reached_count();
+    response.iterations = entry.result.num_iterations();
+    response.improving_relaxations = entry.result.improving_relaxations;
+    response.dist_checksum = entry.dist_checksum;
+    response.cache_hit = cache_hit;
+    response.verified = verify;
+    response.certified = certified;
+    response.targets.reserve(request.targets.size());
+    for (const graph::VertexId v : request.targets)
+      response.targets.push_back(
+          TargetDistance{v, entry.result.distances[v]});
+    const double total_ms = queue_ms[i] + run_ms;
+    latency_ms_.record(total_ms);
+    record_hist("serve.latency.ms", total_ms);
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    bump("serve.completed");
+    answer(i, std::move(response), run_ms);
+  };
 
   util::RunControl control;
+  if (deadline != Clock::time_point::max())
+    control.set_deadline(
+        std::chrono::duration<double>(deadline - exec_start).count());
   active_controls_[worker_id].store(&control, std::memory_order_release);
   // Clear the slot on every exit path so drain never pokes a dead
   // control.
@@ -323,163 +395,150 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
     if (SSSP_FAILPOINT("serve.handler.crash"))
       throw std::runtime_error("injected handler crash");
 
-    if (ticket.deadline != Clock::time_point::max()) {
-      const double remaining_s =
-          std::chrono::duration<double>(ticket.deadline - Clock::now())
-              .count();
-      if (remaining_s <= 0.0) {
-        shed_expired_queue_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.shed.expired");
-        Response response = make_shed(request, Status::kExpired,
-                                      "deadline expired in queue", false);
-        response.queue_ms = queue_ms;
-        respond(ticket, std::move(response));
-        return;
+    // Cache hits are answered up front, each re-certified on read (the
+    // serve.cache.flip drill); the misses dedup by source.
+    std::vector<graph::VertexId> sources;
+    std::vector<std::size_t> lane_of(batch.size(), 0);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const graph::VertexId source = batch[i].request.source;
+      const std::shared_ptr<const CacheEntry> hit =
+          cache_.lookup(key_for(source));
+      if (hit == nullptr) {
+        bump("serve.cache.miss");
+        const auto found = std::find(sources.begin(), sources.end(), source);
+        lane_of[i] = static_cast<std::size_t>(found - sources.begin());
+        if (found == sources.end()) sources.push_back(source);
+        continue;
       }
-      control.set_deadline(remaining_s);
+      bump("serve.cache.hit");
+      bool certified = false;
+      if (verify) {
+        const verify::Certificate certificate =
+            verify::certify(graph_, hit->result);
+        certified = certificate.certified;
+        if (!certified) {
+          // Poisoned cache entry: quarantine it so the next query for
+          // this key recomputes instead of re-serving the corruption.
+          certification_failures_.fetch_add(1, std::memory_order_relaxed);
+          bump("serve.certification.failed");
+          cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
+          bump("serve.cache.poisoned");
+          cache_.invalidate(key_for(source));
+          fail(i, Status::kError,
+               "cached result failed certification: " +
+                   certificate.summary(),
+               ms_between(exec_start, Clock::now()));
+          continue;
+        }
+      }
+      succeed(i, *hit, /*cache_hit=*/true, certified,
+              ms_between(exec_start, Clock::now()));
     }
 
-    const std::string algorithm = request.algorithm.empty()
-                                      ? options_.default_algorithm
-                                      : request.algorithm;
-    const bool verify = request.verify >= 0
-                            ? request.verify != 0
-                            : options_.verify_default;
-    const double set_point =
-        request.set_point > 0.0 ? request.set_point : options_.set_point;
-
-    CacheKey key;
-    key.fingerprint = fingerprint_;
-    key.source = request.source;
-    key.options_key = cache_options_key(
-        algorithm, request.delta,
-        algorithm == "self-tuning" ? set_point : 0.0);
-
-    std::shared_ptr<const CacheEntry> entry = cache_.lookup(key);
-    const bool cache_hit = entry != nullptr;
-    bump(cache_hit ? "serve.cache.hit" : "serve.cache.miss");
-
-    if (!cache_hit) {
-      algo::SsspResult result;
+    // One solve per distinct missed source. Near-far solves them all as
+    // the lanes of one run_batch, which runs a lone lane inline on this
+    // worker; the other algorithms never coalesce, so they have at most
+    // one source.
+    std::vector<algo::SsspResult> results;
+    if (!sources.empty()) {
       if (algorithm == "dijkstra") {
-        result = algo::dijkstra(graph_, request.source);
+        results.push_back(algo::dijkstra(graph_, sources.front()));
       } else if (algorithm == "delta-stepping") {
-        result = algo::delta_stepping(
-            graph_, request.source,
-            {.delta = static_cast<graph::Distance>(request.delta)});
+        results.push_back(algo::delta_stepping(
+            graph_, sources.front(),
+            {.delta = static_cast<graph::Distance>(head.delta)}));
       } else if (algorithm == "self-tuning") {
         core::SelfTuningOptions st;
         st.set_point = set_point;
         st.control = &control;
-        result = core::self_tuning_sssp(graph_, request.source, st);
+        results.push_back(
+            core::self_tuning_sssp(graph_, sources.front(), st));
       } else {  // near-far (the validated default)
-        algo::NearFarOptions nf;
-        nf.delta = static_cast<graph::Distance>(request.delta);
+        algo::BatchOptions nf;
+        nf.delta = static_cast<graph::Distance>(head.delta);
         nf.control = &control;
-        result = algo::near_far(graph_, request.source, nf);
+        results = algo::run_batch(graph_, sources, nf).lanes;
       }
+    }
+
+    // Certify and insert each fresh result. Only certified (or
+    // verification-waived) results enter the cache; the insert-side
+    // serve.cache.flip drill poisons *after* this point by construction.
+    std::vector<std::shared_ptr<const CacheEntry>> entries(sources.size());
+    std::vector<bool> lane_certified(sources.size(), false);
+    std::vector<std::string> lane_error(sources.size());
+    for (std::size_t l = 0; l < sources.size(); ++l) {
       auto fresh = std::make_shared<CacheEntry>();
-      fresh->result = std::move(result);
+      fresh->result = std::move(results[l]);
       fresh->dist_checksum = graph::fnv1a64(
           fresh->result.distances.data(),
           fresh->result.distances.size() * sizeof(graph::Distance));
-      entry = std::move(fresh);
+      if (verify) {
+        const verify::Certificate certificate =
+            verify::certify(graph_, fresh->result);
+        lane_certified[l] = certificate.certified;
+        if (!certificate.certified) {
+          certification_failures_.fetch_add(1, std::memory_order_relaxed);
+          bump("serve.certification.failed");
+          lane_error[l] =
+              "result failed certification: " + certificate.summary();
+          continue;  // never cache a bad result
+        }
+      }
+      cache_.insert(key_for(sources[l]), fresh);
+      entries[l] = std::move(fresh);
     }
 
-    bool verified = false;
-    bool certified = false;
-    if (verify) {
-      const verify::Certificate certificate =
-          verify::certify(graph_, entry->result);
-      verified = true;
-      certified = certificate.certified;
-      if (!certified) {
-        certification_failures_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.certification.failed");
-        if (cache_hit) {
-          // Poisoned cache entry: quarantine it so the next query for
-          // this key recomputes instead of re-serving the corruption.
-          cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
-          bump("serve.cache.poisoned");
-          cache_.invalidate(key);
-        }
+    // Fan each fresh result out to every ticket that asked for it; they
+    // all report the run's run_ms.
+    const double run_ms = ms_between(exec_start, Clock::now());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (responded[i]) continue;
+      const std::size_t l = lane_of[i];
+      if (entries[l] == nullptr) {
+        fail(i, Status::kError, lane_error[l], run_ms);
+        continue;
+      }
+      maybe_sample(batch[i].request.id, sources[l], algorithm,
+                   entries[l]->result.iterations,
+                   /*batched=*/batch.size() > 1);
+      succeed(i, *entries[l], /*cache_hit=*/false, lane_certified[l],
+              run_ms);
+    }
+    // The retry hint's per-query cost: this execution's time per ticket.
+    const double per_query_ms = ms_between(exec_start, Clock::now()) /
+                                static_cast<double>(batch.size());
+    const double prev = ewma_run_ms_.load(std::memory_order_relaxed);
+    ewma_run_ms_.store(0.8 * prev + 0.2 * per_query_ms,
+                       std::memory_order_relaxed);
+  } catch (const util::StopRequested& stopped) {
+    // One interruption fails the whole execution; every ticket not yet
+    // answered still gets its structured response.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (responded[i]) continue;
+      const double run_ms = ms_between(exec_start, Clock::now());
+      if (stopped.reason() == util::StopReason::kDeadline) {
+        expired_running_.fetch_add(1, std::memory_order_relaxed);
+        bump("serve.expired.running");
+        fail(i, Status::kExpired, "deadline expired during execution",
+             run_ms);
+      } else {
+        drain_aborted_.fetch_add(1, std::memory_order_relaxed);
+        bump("serve.drain.aborted");
         Response response;
-        response.id = request.id;
-        response.status = Status::kError;
-        response.error =
-            std::string(cache_hit ? "cached result" : "result") +
-            " failed certification: " + certificate.summary();
-        response.queue_ms = queue_ms;
-        response.run_ms = ms_between(exec_start, Clock::now());
-        respond(ticket, std::move(response));
-        return;
+        response.status = Status::kShuttingDown;
+        response.error = "aborted by drain";
+        response.retry_after_ms = 1000.0;
+        answer(i, std::move(response), run_ms);
       }
     }
-
-    // Only certified (or verification-waived) fresh results enter the
-    // cache; the insert-side serve.cache.flip drill poisons *after*
-    // this point by construction.
-    if (!cache_hit) cache_.insert(key, entry);
-
-    Response response;
-    response.id = request.id;
-    response.status = Status::kOk;
-    response.algorithm = algorithm;
-    response.reached = entry->result.reached_count();
-    response.iterations = entry->result.num_iterations();
-    response.improving_relaxations = entry->result.improving_relaxations;
-    response.dist_checksum = entry->dist_checksum;
-    response.cache_hit = cache_hit;
-    response.verified = verified;
-    response.certified = certified;
-    response.queue_ms = queue_ms;
-    response.run_ms = ms_between(exec_start, Clock::now());
-    response.targets.reserve(request.targets.size());
-    for (const graph::VertexId v : request.targets)
-      response.targets.push_back(
-          TargetDistance{v, entry->result.distances[v]});
-
-    if (!cache_hit)
-      maybe_sample(request.id, request.source, algorithm,
-                   entry->result.iterations, /*batched=*/false);
-
-    const double total_ms = queue_ms + response.run_ms;
-    latency_ms_.record(total_ms);
-    record_hist("serve.latency.ms", total_ms);
-    const double prev = ewma_run_ms_.load(std::memory_order_relaxed);
-    ewma_run_ms_.store(0.8 * prev + 0.2 * response.run_ms,
-                       std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    bump("serve.completed");
-    respond(ticket, std::move(response));
-  } catch (const util::StopRequested& stopped) {
-    Response response;
-    response.id = request.id;
-    response.queue_ms = queue_ms;
-    response.run_ms = ms_between(exec_start, Clock::now());
-    if (stopped.reason() == util::StopReason::kDeadline) {
-      expired_running_.fetch_add(1, std::memory_order_relaxed);
-      bump("serve.expired.running");
-      response.status = Status::kExpired;
-      response.error = "deadline expired during execution";
-    } else {
-      drain_aborted_.fetch_add(1, std::memory_order_relaxed);
-      bump("serve.drain.aborted");
-      response.status = Status::kShuttingDown;
-      response.error = "aborted by drain";
-      response.retry_after_ms = 1000.0;
-    }
-    respond(ticket, std::move(response));
   } catch (const std::exception& e) {
-    handler_errors_.fetch_add(1, std::memory_order_relaxed);
-    bump("serve.handler.error");
-    Response response;
-    response.id = request.id;
-    response.status = Status::kError;
-    response.error = e.what();
-    response.queue_ms = queue_ms;
-    response.run_ms = ms_between(exec_start, Clock::now());
-    respond(ticket, std::move(response));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (responded[i]) continue;
+      handler_errors_.fetch_add(1, std::memory_order_relaxed);
+      bump("serve.handler.error");
+      fail(i, Status::kError, e.what(), ms_between(exec_start, Clock::now()));
+    }
   }
 }
 
@@ -497,234 +556,6 @@ void Server::maybe_sample(
   sample.batched = batched;
   sample.iterations = iterations;
   samples_.push_back(std::move(sample));
-}
-
-void Server::execute_batch(std::vector<Ticket>& batch,
-                           std::size_t worker_id) {
-  const Clock::time_point exec_start = Clock::now();
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-  bump("serve.batch.runs");
-  if (obs::metrics_enabled())
-    obs::MetricsRegistry::global().counter("serve.batch.queries")
-        .add(batch.size());
-
-  // All tickets share one effective algorithm/delta/verify by
-  // construction (worker_loop's compatibility predicate).
-  const Request& head = batch.front().request;
-  const bool verify = head.verify >= 0 ? head.verify != 0
-                                       : options_.verify_default;
-  CacheKey key_template;
-  key_template.fingerprint = fingerprint_;
-  key_template.options_key =
-      cache_options_key("near-far", head.delta, 0.0);
-  const auto key_for = [&](graph::VertexId source) {
-    CacheKey key = key_template;
-    key.source = source;
-    return key;
-  };
-
-  // One response per ticket, on every path: `responded` tracks which
-  // tickets have been answered so the exception paths below can sweep
-  // up exactly the remainder.
-  std::vector<bool> responded(batch.size(), false);
-  std::vector<double> queue_ms(batch.size(), 0.0);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    queue_ms[i] = ms_between(batch[i].admitted_at, exec_start);
-
-  util::RunControl control;
-  active_controls_[worker_id].store(&control, std::memory_order_release);
-  struct SlotGuard {
-    std::atomic<util::RunControl*>& slot;
-    ~SlotGuard() { slot.store(nullptr, std::memory_order_release); }
-  } slot_guard{active_controls_[worker_id]};
-
-  try {
-    if (SSSP_FAILPOINT("serve.handler.crash"))
-      throw std::runtime_error("injected handler crash");
-
-    // Cache hits are served out of the batch up front; the remaining
-    // tickets dedup by source into lanes of one batched run.
-    std::vector<graph::VertexId> sources;
-    std::vector<std::size_t> lane_of(batch.size(), 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Request& request = batch[i].request;
-      const graph::VertexId source = request.source;
-      std::shared_ptr<const CacheEntry> hit = cache_.lookup(key_for(source));
-      if (hit != nullptr) {
-        // Serve the hit out of the batch, with the same read-side
-        // re-certification and poisoning quarantine as the single-query
-        // path (the serve.cache.flip drill applies to batched traffic
-        // too).
-        bump("serve.cache.hit");
-        Response response;
-        response.id = request.id;
-        response.queue_ms = queue_ms[i];
-        bool certified = false;
-        if (verify) {
-          const verify::Certificate certificate =
-              verify::certify(graph_, hit->result);
-          certified = certificate.certified;
-          if (!certified) {
-            certification_failures_.fetch_add(1, std::memory_order_relaxed);
-            bump("serve.certification.failed");
-            cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
-            bump("serve.cache.poisoned");
-            cache_.invalidate(key_for(source));
-            response.status = Status::kError;
-            response.error = "cached result failed certification: " +
-                             certificate.summary();
-            response.run_ms = ms_between(exec_start, Clock::now());
-            responded[i] = true;
-            respond(batch[i], std::move(response));
-            continue;
-          }
-        }
-        response.status = Status::kOk;
-        response.algorithm = "near-far";
-        response.reached = hit->result.reached_count();
-        response.iterations = hit->result.num_iterations();
-        response.improving_relaxations = hit->result.improving_relaxations;
-        response.dist_checksum = hit->dist_checksum;
-        response.cache_hit = true;
-        response.verified = verify;
-        response.certified = certified;
-        response.run_ms = ms_between(exec_start, Clock::now());
-        response.targets.reserve(request.targets.size());
-        for (const graph::VertexId v : request.targets)
-          response.targets.push_back(
-              TargetDistance{v, hit->result.distances[v]});
-        latency_ms_.record(queue_ms[i] + response.run_ms);
-        record_hist("serve.latency.ms", queue_ms[i] + response.run_ms);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.completed");
-        responded[i] = true;
-        respond(batch[i], std::move(response));
-        continue;
-      }
-      bump("serve.cache.miss");
-      const auto found = std::find(sources.begin(), sources.end(), source);
-      lane_of[i] = static_cast<std::size_t>(found - sources.begin());
-      if (found == sources.end()) sources.push_back(source);
-    }
-    if (sources.empty()) return;  // every ticket was a cache hit
-
-    algo::BatchOptions batch_options;
-    batch_options.delta = static_cast<graph::Distance>(head.delta);
-    batch_options.control = &control;
-    algo::BatchResult result = algo::run_batch(
-        graph_,
-        std::span<const graph::VertexId>(sources.data(), sources.size()),
-        batch_options);
-
-    const double run_ms = ms_between(exec_start, Clock::now());
-    // Per-lane finish: checksum, certification verdict, cache insert,
-    // then fan the lane's result out to every ticket that asked for it.
-    std::vector<std::shared_ptr<const CacheEntry>> entries(sources.size());
-    std::vector<bool> lane_certified(sources.size(), false);
-    std::vector<std::string> lane_error(sources.size());
-    for (std::size_t l = 0; l < sources.size(); ++l) {
-      auto fresh = std::make_shared<CacheEntry>();
-      fresh->result = std::move(result.lanes[l]);
-      fresh->dist_checksum = graph::fnv1a64(
-          fresh->result.distances.data(),
-          fresh->result.distances.size() * sizeof(graph::Distance));
-      if (verify) {
-        const verify::Certificate certificate =
-            verify::certify(graph_, fresh->result);
-        lane_certified[l] = certificate.certified;
-        if (!certificate.certified) {
-          certification_failures_.fetch_add(1, std::memory_order_relaxed);
-          bump("serve.certification.failed");
-          lane_error[l] = "batched result failed certification: " +
-                          certificate.summary();
-          continue;  // never cache a bad lane
-        }
-      }
-      entries[l] = fresh;
-      cache_.insert(key_for(sources[l]), std::move(fresh));
-    }
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      const Request& request = batch[i].request;
-      const std::size_t l = lane_of[i];
-      Response response;
-      response.id = request.id;
-      response.queue_ms = queue_ms[i];
-      response.run_ms = run_ms;
-      if (entries[l] == nullptr) {
-        response.status = Status::kError;
-        response.error = lane_error[l];
-      } else {
-        const CacheEntry& entry = *entries[l];
-        response.status = Status::kOk;
-        response.algorithm = "near-far";
-        response.reached = entry.result.reached_count();
-        response.iterations = entry.result.num_iterations();
-        response.improving_relaxations = entry.result.improving_relaxations;
-        response.dist_checksum = entry.dist_checksum;
-        response.cache_hit = false;
-        response.verified = verify;
-        response.certified = lane_certified[l];
-        response.targets.reserve(request.targets.size());
-        for (const graph::VertexId v : request.targets)
-          response.targets.push_back(
-              TargetDistance{v, entry.result.distances[v]});
-        maybe_sample(request.id, request.source, "near-far",
-                     entry.result.iterations, /*batched=*/true);
-        const double total_ms = queue_ms[i] + run_ms;
-        latency_ms_.record(total_ms);
-        record_hist("serve.latency.ms", total_ms);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.completed");
-      }
-      responded[i] = true;
-      respond(batch[i], std::move(response));
-    }
-    const double per_query_ms = run_ms / static_cast<double>(sources.size());
-    const double prev = ewma_run_ms_.load(std::memory_order_relaxed);
-    ewma_run_ms_.store(0.8 * prev + 0.2 * per_query_ms,
-                       std::memory_order_relaxed);
-  } catch (const util::StopRequested& stopped) {
-    // One interruption fails the whole coalesced run; every ticket not
-    // yet answered still gets its structured response.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      Response response;
-      response.id = batch[i].request.id;
-      response.queue_ms = queue_ms[i];
-      response.run_ms = ms_between(exec_start, Clock::now());
-      if (stopped.reason() == util::StopReason::kDeadline) {
-        expired_running_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.expired.running");
-        response.status = Status::kExpired;
-        response.error = "deadline expired during execution";
-      } else {
-        drain_aborted_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.drain.aborted");
-        response.status = Status::kShuttingDown;
-        response.error = "batched run aborted by drain";
-        response.retry_after_ms = 1000.0;
-      }
-      responded[i] = true;
-      respond(batch[i], std::move(response));
-    }
-  } catch (const std::exception& e) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      handler_errors_.fetch_add(1, std::memory_order_relaxed);
-      bump("serve.handler.error");
-      Response response;
-      response.id = batch[i].request.id;
-      response.status = Status::kError;
-      response.error = e.what();
-      response.queue_ms = queue_ms[i];
-      response.run_ms = ms_between(exec_start, Clock::now());
-      responded[i] = true;
-      respond(batch[i], std::move(response));
-    }
-  }
 }
 
 void Server::drain() {

@@ -69,12 +69,13 @@ struct ServerOptions {
   std::string default_algorithm = "near-far";
   // Default self-tuning set-point for requests that do not set one.
   double set_point = 20000.0;
-  // Query coalescing (docs/SERVING.md, "Query coalescing"): a worker
-  // that pops a batchable near-far query additionally drains up to
-  // batch_max - 1 compatible queued queries (same effective algorithm,
-  // delta, and verify flag; deadline-free) and solves them all in one
-  // batched run (sssp/batch_engine.hpp), fanning the per-lane results
-  // out to each ticket's response sink. 1 disables coalescing.
+  // Query coalescing (docs/SERVING.md, "Execution path & query
+  // coalescing"): a worker that pops a batchable near-far query
+  // additionally drains up to batch_max - 1 compatible queued queries
+  // (same effective algorithm, delta, and verify flag; deadline-free)
+  // into the same execution, which solves their distinct sources as the
+  // lanes of one batched run (sssp/batch_engine.hpp) and fans each
+  // result out to every ticket's response sink. 1 disables coalescing.
   std::size_t batch_max = 8;
   // Capture the full per-iteration trace of the first N freshly solved
   // queries and publish them in the final report's "sampled_reports"
@@ -165,14 +166,21 @@ class Server {
   void write_report(std::ostream& out) const;
 
  private:
+  // Pops a ticket, coalesces the compatible queued ones behind it
+  // into one batch, and executes the batch; a lone query is a batch
+  // of one.
   void worker_loop(std::size_t worker_id);
-  void execute(Ticket& ticket, std::size_t worker_id);
-  // Coalesced execution: one batched near-far run serving every ticket
-  // in `batch` (all mutually compatible). Exactly one response per
-  // ticket on every path — success, per-lane certification failure,
-  // drain interruption, or handler crash.
-  void execute_batch(std::vector<Ticket>& batch, std::size_t worker_id);
-  // True when the ticket may join a coalesced near-far run at all.
+  // The one execution path for popped queries. `batch` holds mutually
+  // compatible tickets (same effective algorithm, delta and verify
+  // flag); only a lone ticket may carry a deadline. Sheds a lone
+  // ticket whose deadline passed in the queue, answers cache hits
+  // after re-certifying them, solves each distinct missed source once
+  // (near-far through run_batch), certifies and caches each fresh
+  // result, and fans it out. Exactly one response per ticket on every
+  // path — success, certification failure, deadline, drain
+  // interruption, or handler crash.
+  void execute(std::vector<Ticket>& batch, std::size_t worker_id);
+  // True when the ticket may be coalesced with others at all.
   bool batchable(const Ticket& ticket) const;
   // First N fresh solves capture their full iteration trace for the
   // report's "sampled_reports" section.

@@ -87,15 +87,12 @@ BatchResult run_batch(const graph::CsrGraph& graph,
         nf.control = options.control;
         nf.iteration_poll = false;  // shared control: stall bookkeeping
                                     // is not thread-safe
-        SsspResult lane = near_far(graph, sources[l], nf);
-        // Canonical parents, independent of the relaxation order.
-        lane.parents = derive_parents(graph, lane.distances, lane.source);
-        out.lanes[l] = std::move(lane);
+        out.lanes[l] = near_far(graph, sources[l], nf);
       });
 
   // Single-lane mutation drill: corrupts lane 0's distance array after
-  // parents were derived, so the per-lane certifier must fail exactly
-  // that lane (tests/sssp/batch_engine_test.cpp, soak batched leg).
+  // the run, so the per-lane certifier must fail exactly that lane
+  // (tests/sssp/batch_engine_test.cpp, soak batched leg).
   if (SSSP_FAILPOINT("batch.lane.flip_dist")) {
     SsspResult& lane = out.lanes.front();
     for (std::size_t v = 0; v < lane.distances.size(); ++v) {

@@ -8,11 +8,13 @@
 // This is where the engine's parallelism lives — across queries, not
 // inside one advance.
 //
-// Determinism contract: every lane's distances are bit-identical to the
-// corresponding single-source run at any thread count — each lane IS
-// that run. Per-lane parents are a canonical derivation from the final
-// distances (result.hpp derive_parents), so they too are thread-count-
-// independent, and every lane passes the certifier.
+// Determinism contract: every lane IS the corresponding single-source
+// near-far run, returned unchanged — distances, parents, improving
+// count and iteration trace are bit-identical to near_far() at any
+// thread count, and every lane passes the certifier. A lone lane runs
+// inline on the calling thread, so the server's one execution path
+// (serve/server.hpp) pays nothing for solving a lone query as a batch
+// of one.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +52,8 @@ struct BatchOptions {
 };
 
 struct BatchResult {
-  // Index-aligned with the `sources` span. Each lane carries exact
-  // distances, canonical derived parents, per-lane improving counts,
-  // and its own full iteration trace.
+  // Index-aligned with the `sources` span. Each lane is the near_far()
+  // result for its source.
   std::vector<SsspResult> lanes;
 };
 

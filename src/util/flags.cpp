@@ -66,8 +66,8 @@ std::int64_t Flags::get_int(const std::string& name) const {
     if (pos != v.size()) throw std::invalid_argument(v);
     return out;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                v + "'");
+    throw FlagError("flag --" + name + " expects an integer, got '" + v +
+                    "'");
   }
 }
 
@@ -79,8 +79,8 @@ double Flags::get_double(const std::string& name) const {
     if (pos != v.size()) throw std::invalid_argument(v);
     return out;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                v + "'");
+    throw FlagError("flag --" + name + " expects a number, got '" + v +
+                    "'");
   }
 }
 
@@ -88,8 +88,8 @@ bool Flags::get_bool(const std::string& name) const {
   const std::string v = lookup(name);
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
-                              v + "'");
+  throw FlagError("flag --" + name + " expects a boolean, got '" + v +
+                  "'");
 }
 
 bool Flags::handle_help(const std::string& program_description) const {
@@ -108,7 +108,7 @@ void Flags::check_unknown() const {
     (void)value;
     if (name == "help") continue;
     if (!specs_.count(name))
-      throw std::invalid_argument("unknown flag --" + name);
+      throw FlagError("unknown flag --" + name);
   }
 }
 

@@ -7,10 +7,18 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace sssp::util {
+
+// A command-line error: an unknown flag, or a value that does not parse
+// as the type it is read as. Tools exit 2 on it (tools/tool_common.hpp).
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Flags {
  public:
@@ -24,6 +32,7 @@ class Flags {
               const std::string& help);
 
   bool has(const std::string& name) const;
+  // The typed getters throw FlagError when the value does not parse.
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
@@ -36,7 +45,7 @@ class Flags {
   // Returns true if --help was passed; prints usage to stdout.
   bool handle_help(const std::string& program_description) const;
 
-  // Throws std::invalid_argument if any parsed flag was never defined.
+  // Throws FlagError if any parsed flag was never defined.
   void check_unknown() const;
 
  private:

@@ -67,6 +67,27 @@ core::SelfTuningOptions* CheckpointFormatTest::options_ = nullptr;
 RunState* CheckpointFormatTest::state_ = nullptr;
 std::string* CheckpointFormatTest::bytes_ = nullptr;
 
+// Overwrites the u64 `at` bytes into section `index`'s payload
+// (0 meta, 3 engine, 4 far queue) and re-checksums that section, so only
+// the decoder's own bounds checks stand between a forged count and an
+// allocation.
+std::string forge_u64(std::string image, std::size_t index, std::size_t at,
+                      std::uint64_t value) {
+  const auto u64_at = [&](std::size_t pos) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, image.data() + pos, sizeof v);
+    return v;
+  };
+  std::size_t section = 32;  // magic, header checksum, header
+  for (std::size_t i = 0; i < index; ++i) section += 16 + u64_at(section);
+  const std::uint64_t size = u64_at(section);
+  std::memcpy(image.data() + section + 8 + at, &value, sizeof value);
+  const std::uint64_t checksum =
+      graph::fnv1a64(image.data() + section + 8, size);
+  std::memcpy(image.data() + section + 8 + size, &checksum, sizeof checksum);
+  return image;
+}
+
 TEST_F(CheckpointFormatTest, RoundTripIsByteStable) {
   const RunState loaded = deserialize_checkpoint(*bytes_);
   EXPECT_EQ(loaded.meta, state_->meta);
@@ -171,6 +192,49 @@ TEST_F(CheckpointFormatTest, VersionOneImageIsAVersionError) {
   } catch (const graph::GraphIoError& e) {
     EXPECT_EQ(e.error_class(), graph::IoErrorClass::kVersion) << e.what();
   }
+}
+
+// Forged counts in checksum-valid sections fail as structured loader
+// errors before anything is allocated: an engine vertex count that
+// disagrees with the meta section, one that agrees but overruns the
+// section's bytes (2^61 * 8 also wraps), and a far-queue partition count
+// that overruns its section.
+TEST_F(CheckpointFormatTest, ForgedCountsAreRejectedBeforeAllocation) {
+  constexpr std::size_t kMeta = 0, kEngine = 3, kFar = 4;
+  const std::size_t vertices_at = 8 + state_->meta.algorithm.size() + 8;
+  const std::size_t edges_at = vertices_at + 8;
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  for (const std::uint64_t n : {huge, graph_->num_vertices() + 1}) {
+    EXPECT_THROW(deserialize_checkpoint(forge_u64(*bytes_, kEngine, 0, n)),
+                 graph::GraphIoError)
+        << "engine n=" << n;
+  }
+  EXPECT_THROW(deserialize_checkpoint(forge_u64(
+                   forge_u64(*bytes_, kMeta, vertices_at, huge), kEngine, 0,
+                   huge)),
+               graph::GraphIoError);
+  EXPECT_THROW(deserialize_checkpoint(forge_u64(
+                   forge_u64(*bytes_, kMeta, edges_at, std::uint64_t{1} << 40),
+                   kFar, 8, std::uint64_t{1} << 39)),
+               graph::GraphIoError);
+}
+
+// A finished run's snapshot has an empty frontier and round-trips byte
+// for byte. Its zero-length arrays must be decoded without a memcpy
+// into a null pointer (the crash-recovery CI job runs this suite under
+// UBSan).
+TEST_F(CheckpointFormatTest, FinishedRunRoundTrips) {
+  core::SelfTuningRun run(*graph_, 3, *options_);
+  while (!run.done()) run.step();
+  RunState finished = *state_;
+  finished.meta.iterations_completed = run.iterations_completed();
+  finished.snapshot = run.snapshot();
+  ASSERT_TRUE(finished.snapshot.engine.frontier.empty());
+  const std::string bytes = serialize_checkpoint(finished);
+  const RunState loaded = deserialize_checkpoint(bytes);
+  EXPECT_TRUE(loaded.snapshot.engine.frontier.empty());
+  EXPECT_EQ(serialize_checkpoint(loaded), bytes);
+  EXPECT_NO_THROW(validate_against(loaded, *graph_));
 }
 
 TEST_F(CheckpointFormatTest, ForeignGraphIsRejected) {

@@ -20,8 +20,8 @@ TEST(AdmissionTest, FifoUnderCapacity) {
   EXPECT_TRUE(q.push(ticket("a")).admitted);
   EXPECT_TRUE(q.push(ticket("b")).admitted);
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.pop()->ticket.request.id, "a");
-  EXPECT_EQ(q.pop()->ticket.request.id, "b");
+  EXPECT_EQ(q.pop()->request.id, "a");
+  EXPECT_EQ(q.pop()->request.id, "b");
   EXPECT_EQ(q.depth(), 0u);
 }
 
@@ -37,7 +37,7 @@ TEST(AdmissionTest, RejectNewHandsTheTicketBack) {
   ASSERT_TRUE(outcome.rejected.has_value());
   EXPECT_EQ(outcome.rejected->request.id, "c");
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.pop()->ticket.request.id, "a");
+  EXPECT_EQ(q.pop()->request.id, "a");
 }
 
 TEST(AdmissionTest, DropOldestDisplacesTheFront) {
@@ -49,32 +49,8 @@ TEST(AdmissionTest, DropOldestDisplacesTheFront) {
   ASSERT_TRUE(outcome.displaced.has_value());
   EXPECT_EQ(outcome.displaced->request.id, "a");
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.pop()->ticket.request.id, "b");
-  EXPECT_EQ(q.pop()->ticket.request.id, "c");
-}
-
-TEST(AdmissionTest, ExpiredFlaggedAtPop) {
-  AdmissionQueue q(4, ShedPolicy::kRejectNew);
-  Ticket past = ticket("late");
-  past.deadline =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  Ticket future = ticket("fresh");
-  future.deadline =
-      std::chrono::steady_clock::now() + std::chrono::hours(1);
-  ASSERT_TRUE(q.push(std::move(past)).admitted);
-  ASSERT_TRUE(q.push(std::move(future)).admitted);
-  const auto first = q.pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(first->expired);
-  const auto second = q.pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_FALSE(second->expired);
-}
-
-TEST(AdmissionTest, NoDeadlineNeverExpires) {
-  AdmissionQueue q(1, ShedPolicy::kRejectNew);
-  ASSERT_TRUE(q.push(ticket("a")).admitted);
-  EXPECT_FALSE(q.pop()->expired);
+  EXPECT_EQ(q.pop()->request.id, "b");
+  EXPECT_EQ(q.pop()->request.id, "c");
 }
 
 TEST(AdmissionTest, CloseRejectsPushesAndDrainsPoppers) {
@@ -86,7 +62,7 @@ TEST(AdmissionTest, CloseRejectsPushesAndDrainsPoppers) {
   EXPECT_FALSE(outcome.admitted);
   ASSERT_TRUE(outcome.rejected.has_value());
   // Queued work is still popped after close...
-  EXPECT_EQ(q.pop()->ticket.request.id, "a");
+  EXPECT_EQ(q.pop()->request.id, "a");
   // ...and an empty closed queue is the worker exit signal.
   EXPECT_FALSE(q.pop().has_value());
 }

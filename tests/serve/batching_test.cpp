@@ -1,8 +1,11 @@
-// Query-coalescing tests (docs/SERVING.md, "Query coalescing"): the
-// worker that pops a batchable near-far query drains compatible queued
-// queries into one batched run. The invariants under test:
+// Query-coalescing tests (docs/SERVING.md, "Execution path & query
+// coalescing"): the worker that pops a batchable near-far query drains
+// compatible queued queries into the same execution. The invariants
+// under test:
 //   - coalescing actually happens (stats().batches) and every ticket
 //     still gets exactly one response with the right answer;
+//   - a poisoned cache hit inside a batch is caught and quarantined
+//     without costing its batchmates their answers;
 //   - incompatible queries are left in the queue and solved alone;
 //   - a batch shed mid-drain loses no response sink — every member
 //     gets a structured response, never silence.
@@ -17,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "fault/failpoint.hpp"
 #include "serve/server.hpp"
 #include "sssp/near_far.hpp"
 #include "tests/sssp/test_graphs.hpp"
@@ -89,9 +93,9 @@ TEST(BatchingTest, CompatibleQueuedQueriesCoalesceIntoOneRun) {
   EXPECT_EQ(checksum_q1, checksum_q4);
 }
 
-// Batched answers must byte-match the single-query path: the same
-// source queried alone (fresh server, coalescing off) produces the
-// same distance checksum.
+// Batched answers must match the single-query path: the same source
+// queried alone (fresh server, coalescing off) produces the same
+// distance checksum, reach, iteration count and improving count.
 TEST(BatchingTest, BatchedChecksumMatchesUnbatched) {
   const auto g = random_graph(1024, 4.0, 60, 9);
 
@@ -121,9 +125,88 @@ TEST(BatchingTest, BatchedChecksumMatchesUnbatched) {
   for (const Response& r : c.responses) {
     EXPECT_EQ(r.status, Status::kOk) << r.id;
     if (r.id == "a") {
-      EXPECT_EQ(r.dist_checksum, solo_c.responses[0].dist_checksum);
+      const Response& alone = solo_c.responses[0];
+      EXPECT_EQ(r.dist_checksum, alone.dist_checksum);
+      EXPECT_EQ(r.reached, alone.reached);
+      EXPECT_EQ(r.iterations, alone.iterations);
+      EXPECT_EQ(r.improving_relaxations, alone.improving_relaxations);
     }
   }
+}
+
+// One batch holding a poisoned cached source, a duplicated fresh source
+// and a second fresh source: the poisoned hit costs exactly one `error`
+// and is quarantined, every other ticket gets exactly one certified
+// `ok`, and the duplicates share one solve.
+TEST(BatchingTest, PoisonedHitDuplicateAndFreshShareOneBatch) {
+  const auto g = random_graph(1024, 4.0, 60, 13);
+  ServerOptions options;
+  options.workers = 1;
+  Server server(g, options);
+  server.start();
+  Collector c;
+
+  // Source 5's first solve certifies, then the insert-side drill flips
+  // the stored copy.
+  fault::FailpointRegistry::global().arm("serve.cache.flip");
+  server.submit(query("seed", 5), c.sink());
+  ASSERT_TRUE(c.wait_for(1));
+  fault::FailpointRegistry::global().disarm_all();
+
+  // Park the single worker inside the blocker's response sink, so the
+  // next four queries are all queued when it pops again.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool open = false;
+  server.submit(query("blocker", 9), [&](const Response& r) {
+    c.sink()(r);
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  ASSERT_TRUE(c.wait_for(2));
+  server.submit(query("poisoned", 5), c.sink());
+  server.submit(query("dup1", 21), c.sink());
+  server.submit(query("dup2", 21), c.sink());
+  server.submit(query("fresh", 33), c.sink());
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    open = true;
+  }
+  gate_cv.notify_all();
+  ASSERT_TRUE(c.wait_for(6));
+  server.drain();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses, 6u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batched_queries, 4u);
+  EXPECT_EQ(stats.cache_poisoned, 1u);
+  EXPECT_EQ(stats.cache.invalidations, 1u);
+
+  std::lock_guard<std::mutex> lock(c.mu);
+  ASSERT_EQ(c.responses.size(), 6u);
+  std::vector<std::string> ids;
+  std::uint64_t dup1 = 0, dup2 = 0;
+  for (const Response& r : c.responses) {
+    ids.push_back(r.id);
+    if (r.id == "poisoned") {
+      EXPECT_EQ(r.status, Status::kError);
+      EXPECT_NE(r.error.find("cached result failed certification"),
+                std::string::npos)
+          << r.error;
+      continue;
+    }
+    EXPECT_EQ(r.status, Status::kOk) << r.id << ": " << r.error;
+    EXPECT_TRUE(r.certified) << r.id;
+    EXPECT_FALSE(r.cache_hit) << r.id;
+    if (r.id == "dup1") dup1 = r.dist_checksum;
+    if (r.id == "dup2") dup2 = r.dist_checksum;
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::string>{"blocker", "dup1", "dup2",
+                                           "fresh", "poisoned", "seed"}));
+  EXPECT_NE(dup1, 0u);
+  EXPECT_EQ(dup1, dup2);
 }
 
 // Only compatible queries coalesce: a different delta or a different

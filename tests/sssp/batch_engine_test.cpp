@@ -51,9 +51,9 @@ struct ThreadGuard {
   ~ThreadGuard() { util::ThreadPool::set_global_threads(0); }
 };
 
-// The acceptance bar: every lane's distances byte-match the
-// single-source near-far run at thread counts {1, 4, 8}, on a
-// road-class and an R-MAT-class graph.
+// The acceptance bar: every lane is the single-source near-far run —
+// distances, parents, improving count and iteration trace — at thread
+// counts {1, 4, 8}, on a road-class and an R-MAT-class graph.
 TEST(BatchEngine, LanesMatchSingleSourceAcrossThreadsAndStrategies) {
   ThreadGuard guard;
   for (const auto& g : {road_fixture(), rmat_fixture()}) {
@@ -77,6 +77,11 @@ TEST(BatchEngine, LanesMatchSingleSourceAcrossThreadsAndStrategies) {
                                      sizeof(graph::Distance)))
             << "threads=" << threads << " lane=" << l
             << " source=" << sources[l];
+        EXPECT_EQ(lane.parents, baseline[l].parents)
+            << "threads=" << threads << " lane=" << l;
+        EXPECT_EQ(lane.improving_relaxations,
+                  baseline[l].improving_relaxations)
+            << "threads=" << threads << " lane=" << l;
         EXPECT_EQ(lane.iterations, baseline[l].iterations)
             << "threads=" << threads << " lane=" << l;
       }
@@ -84,26 +89,26 @@ TEST(BatchEngine, LanesMatchSingleSourceAcrossThreadsAndStrategies) {
   }
 }
 
-// Parents are a canonical derivation from final distances, independent
-// of the relaxation order and the thread count, and every lane
-// certifies.
+// Lanes keep near_far's own parents: at pool sizes 1 and 4 every lane's
+// parent array equals the single-source run's, and every lane certifies
+// with it.
 TEST(BatchEngine, ParentsCanonicalAndEveryLaneCertifies) {
   ThreadGuard guard;
   const auto g = road_fixture();
   const auto sources = pick_sources(g, 5);
 
-  util::ThreadPool::set_global_threads(1);
-  const auto a = run_batch(g, sources);
-  util::ThreadPool::set_global_threads(4);
-  const auto b = run_batch(g, sources);
-  ASSERT_EQ(a.lanes.size(), b.lanes.size());
-  for (std::size_t l = 0; l < a.lanes.size(); ++l) {
-    EXPECT_EQ(a.lanes[l].parents,
-              derive_parents(g, a.lanes[l].distances, sources[l]))
-        << "lane " << l;
-    EXPECT_EQ(a.lanes[l].parents, b.lanes[l].parents) << "lane " << l;
-    const auto cert = verify::certify(g, a.lanes[l]);
-    EXPECT_TRUE(cert.certified) << "lane " << l << ": " << cert.summary();
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool::set_global_threads(threads);
+    const auto batch = run_batch(g, sources);
+    ASSERT_EQ(batch.lanes.size(), sources.size());
+    for (std::size_t l = 0; l < sources.size(); ++l) {
+      EXPECT_EQ(batch.lanes[l].parents, near_far(g, sources[l], {}).parents)
+          << "threads=" << threads << " lane=" << l;
+      const auto cert = verify::certify(g, batch.lanes[l]);
+      EXPECT_TRUE(cert.certified)
+          << "threads=" << threads << " lane=" << l << ": "
+          << cert.summary();
+    }
   }
 }
 

@@ -661,9 +661,9 @@ int main(int argc, char** argv) {
           "differential performance/energy regression runner over a pinned "
           "road + R-MAT workload matrix"))
     return 0;
-  flags.check_unknown();
 
   try {
+    flags.check_unknown();
     if (flags.get_bool("overhead-check")) return run_overhead_check();
 
     const std::string matrix = flags.get_string("matrix");
@@ -770,17 +770,7 @@ int main(int argc, char** argv) {
       std::printf("bench: no regressions against %s\n", baseline.c_str());
     }
     return 0;
-  } catch (const sssp::util::DiskFullError& error) {
-    std::fprintf(stderr, "bench_tool: %s\n", error.what());
-    return sssp::tools::kExitDiskFull;
-  } catch (const sssp::res::ResourceError& error) {
-    std::fprintf(stderr, "bench_tool: %s\n", error.what());
-    return sssp::tools::kExitResourceBudget;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "bench_tool: out of memory\n");
-    return sssp::tools::kExitResourceBudget;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "bench_tool: %s\n", error.what());
-    return 1;
+  } catch (...) {
+    return sssp::tools::exit_code_for_failure();
   }
 }

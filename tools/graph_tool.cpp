@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   if (flags.handle_help(
           "graph_tool <generate|convert|info|component> [flags]"))
     return 0;
-  flags.check_unknown();
 
   if (flags.positional().size() != 1) {
     std::fprintf(stderr,
@@ -72,6 +71,7 @@ int main(int argc, char** argv) {
 
   util::RunControl control;
   try {
+    flags.check_unknown();
     tools::enable_observability(flags);
     tools::enable_faults(flags);
     tools::apply_resource_flags(flags);
@@ -144,21 +144,8 @@ int main(int argc, char** argv) {
     tools::print_fault_summary();
     tools::write_observability_outputs(flags);
     if (stop != util::StopReason::kNone) return tools::exit_code_for_stop(stop);
-  } catch (const graph::GraphIoError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::exit_code_for(e);
-  } catch (const util::DiskFullError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitDiskFull;
-  } catch (const res::ResourceError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitResourceBudget;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: out of memory\n");
-    return tools::kExitResourceBudget;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    return tools::exit_code_for_failure();
   }
   return 0;
 }

@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
                "governor replay here");
   if (flags.handle_help("replay a recorded workload across device models"))
     return 0;
-  flags.check_unknown();
 
   util::RunControl control;
   try {
+    flags.check_unknown();
     tools::enable_observability(flags);
     tools::enable_faults(flags);
     if (!flags.get_string("flight-out").empty() ||
@@ -231,21 +231,8 @@ int main(int argc, char** argv) {
     if (stop != util::StopReason::kNone)
       return tools::exit_code_for_stop(stop);
     if (certification_failed) return tools::kExitCertificationFailed;
-  } catch (const graph::GraphIoError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::exit_code_for(e);
-  } catch (const util::DiskFullError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitDiskFull;
-  } catch (const res::ResourceError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitResourceBudget;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: out of memory\n");
-    return tools::kExitResourceBudget;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    return tools::exit_code_for_failure();
   }
   return 0;
 }

@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
           "chaos-soak: randomized faults x kill/resume x threads; every "
           "survivor must certify"))
     return 0;
-  flags.check_unknown();
 
   try {
+    flags.check_unknown();
     const std::string in = flags.get_string("in");
     if (in.empty()) {
       std::fprintf(stderr, "--in is required; see --help\n");
@@ -286,11 +286,12 @@ int main(int argc, char** argv) {
     std::remove(ckpt_path.c_str());
     std::remove((ckpt_path + ".tmp").c_str());
 
-    // Batched leg (docs/SERVING.md, "Query coalescing"): survivors of a
-    // batched multi-source run certify per lane, exactly like single
-    // queries. A quarter of the rounds arm the batch.lane.flip_dist
-    // drill; a drill round only passes when the corrupted lane is
-    // CAUGHT (fails certification) while every other lane certifies.
+    // Batched leg (docs/SERVING.md, "Execution path & query
+    // coalescing"): survivors of a batched multi-source run certify per
+    // lane, exactly like single queries. A quarter of the rounds arm the
+    // batch.lane.flip_dist drill; a drill round only passes when the
+    // corrupted lane is CAUGHT (fails certification) while every other
+    // lane certifies.
     const auto batch_rounds =
         static_cast<std::uint64_t>(flags.get_int("batch-rounds"));
     for (std::uint64_t round = 0; round < batch_rounds; ++round) {
@@ -490,21 +491,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(stats.batch_drills),
           static_cast<unsigned long long>(stats.batch_drill_catches));
     if (stats.failed != 0) return tools::kExitCertificationFailed;
-  } catch (const graph::GraphIoError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::exit_code_for(e);
-  } catch (const util::DiskFullError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitDiskFull;
-  } catch (const res::ResourceError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitResourceBudget;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: out of memory\n");
-    return tools::kExitResourceBudget;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    return tools::exit_code_for_failure();
   }
   return 0;
 }

@@ -247,7 +247,9 @@ std::string make_query_doc(const std::string& id, const Query& q) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A function-try-block: the flags are read outside any other try, so
+// a flag error (exit 2) or any other escaping failure is mapped here.
+int main(int argc, char** argv) try {
   util::Flags flags(argc, argv);
   flags.define("server", "", "path to the sssp_server binary (pipe mode)");
   flags.define("graph", "", "graph file handed to the spawned server");
@@ -775,4 +777,6 @@ int main(int argc, char** argv) {
   }
   std::printf("client: PASS\n");
   return 0;
+} catch (...) {
+  return tools::exit_code_for_failure();
 }

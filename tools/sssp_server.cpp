@@ -352,10 +352,10 @@ int main(int argc, char** argv) {
   if (flags.handle_help(
           "serve SSSP queries over a resident graph (docs/SERVING.md)"))
     return 0;
-  flags.check_unknown();
 
   util::RunControl control;
   try {
+    flags.check_unknown();
     tools::enable_observability(flags);
     tools::enable_faults(flags);
     tools::apply_threads_flag(flags);
@@ -399,10 +399,7 @@ int main(int argc, char** argv) {
     options.cache_max_bytes =
         static_cast<std::size_t>(flags.get_int("cache-max-mb")) * 1024 *
         1024;
-    if (options.default_algorithm != "near-far" &&
-        options.default_algorithm != "dijkstra" &&
-        options.default_algorithm != "delta-stepping" &&
-        options.default_algorithm != "self-tuning") {
+    if (!serve::is_served_algorithm(options.default_algorithm)) {
       std::fprintf(stderr, "unknown --default-algorithm '%s'\n",
                    options.default_algorithm.c_str());
       return 2;
@@ -594,20 +591,11 @@ int main(int argc, char** argv) {
   } catch (const serve::ServeError& e) {
     std::fprintf(stderr, "sssp_server: startup failed: %s\n", e.what());
     return tools::kExitServeStartup;
-  } catch (const util::DiskFullError& e) {
-    std::fprintf(stderr, "sssp_server: %s\n", e.what());
-    return tools::kExitDiskFull;
-  } catch (const res::ResourceError& e) {
-    std::fprintf(stderr, "sssp_server: %s\n", e.what());
-    return tools::kExitResourceBudget;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "sssp_server: out of memory\n");
-    return tools::kExitResourceBudget;
   } catch (const std::invalid_argument& e) {
+    // Bad option values (--shed-policy, ...) are usage errors too.
     std::fprintf(stderr, "sssp_server: %s\n", e.what());
     return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sssp_server: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    return tools::exit_code_for_failure();
   }
 }

@@ -78,10 +78,10 @@ int main(int argc, char** argv) {
                "write the raw distance/parent arrays here (binary; for "
                "byte-exact resume comparisons)");
   if (flags.handle_help("run an SSSP algorithm on a graph file")) return 0;
-  flags.check_unknown();
 
   util::RunControl control;
   try {
+    flags.check_unknown();
     tools::enable_observability(flags);
     tools::enable_faults(flags);
     tools::apply_resource_flags(flags);
@@ -431,21 +431,8 @@ int main(int argc, char** argv) {
     // exactly as after a real crash.
     std::fprintf(stderr, "fatal: %s\n", e.what());
     return tools::kExitInjectedCrash;
-  } catch (const graph::GraphIoError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::exit_code_for(e);
-  } catch (const util::DiskFullError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitDiskFull;
-  } catch (const res::ResourceError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return tools::kExitResourceBudget;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: out of memory\n");
-    return tools::kExitResourceBudget;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    return tools::exit_code_for_failure();
   }
   return 0;
 }

@@ -333,6 +333,37 @@ inline constexpr int kExitDiskFull = 17;
 // budget or smaller input.
 inline constexpr int kExitResourceBudget = 18;
 
+// Prints the failure in flight and maps it to the exit-code table:
+// flag errors (util::FlagError: an unknown flag or a value that does
+// not parse) are usage errors and exit 2, structured loader errors
+// 3-8, a full disk 17, a refused budget or std::bad_alloc 18, anything
+// else 1. Call only from a catch block; every tool ends its main with
+// `catch (...) { return tools::exit_code_for_failure(); }`, after any
+// tool-specific handlers.
+inline int exit_code_for_failure() {
+  try {
+    throw;
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "error: %s; see --help\n", e.what());
+    return 2;
+  } catch (const graph::GraphIoError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return exit_code_for(e);
+  } catch (const util::DiskFullError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitDiskFull;
+  } catch (const res::ResourceError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitResourceBudget;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: out of memory\n");
+    return kExitResourceBudget;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
 inline int exit_code_for_stop(util::StopReason reason) {
   switch (reason) {
     case util::StopReason::kNone:
