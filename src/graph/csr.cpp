@@ -6,6 +6,18 @@
 
 namespace sssp::graph {
 
+namespace {
+
+// Sums the weights in edge order: the one summation order every
+// default delta, and so every iteration trace, depends on.
+double mean_of(std::span<const Weight> weights) noexcept {
+  if (weights.empty()) return 0.0;
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  return total / static_cast<double>(weights.size());
+}
+
+}  // namespace
+
 CsrGraph::CsrGraph(std::vector<EdgeIndex> offsets, std::vector<VertexId> targets,
                    std::vector<Weight> weights)
     : owns_(true),
@@ -14,6 +26,7 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> offsets, std::vector<VertexId> targets
       weights_store_(std::move(weights)) {
   rebind();
   check_shape();
+  mean_edge_weight_ = mean_of(weights_);
 }
 
 CsrGraph::CsrGraph(std::span<const EdgeIndex> offsets,
@@ -21,6 +34,7 @@ CsrGraph::CsrGraph(std::span<const EdgeIndex> offsets,
                    std::span<const Weight> weights, bool check)
     : offsets_(offsets), targets_(targets), weights_(weights), owns_(false) {
   if (check) check_shape();
+  mean_edge_weight_ = mean_of(weights_);
 }
 
 CsrGraph CsrGraph::view(std::span<const EdgeIndex> offsets,
@@ -31,6 +45,7 @@ CsrGraph CsrGraph::view(std::span<const EdgeIndex> offsets,
 
 CsrGraph::CsrGraph(const CsrGraph& other)
     : owns_(other.owns_),
+      mean_edge_weight_(other.mean_edge_weight_),
       offsets_store_(other.offsets_store_),
       targets_store_(other.targets_store_),
       weights_store_(other.weights_store_) {
@@ -46,6 +61,7 @@ CsrGraph::CsrGraph(const CsrGraph& other)
 CsrGraph& CsrGraph::operator=(const CsrGraph& other) {
   if (this == &other) return *this;
   owns_ = other.owns_;
+  mean_edge_weight_ = other.mean_edge_weight_;
   offsets_store_ = other.offsets_store_;
   targets_store_ = other.targets_store_;
   weights_store_ = other.weights_store_;
@@ -61,6 +77,7 @@ CsrGraph& CsrGraph::operator=(const CsrGraph& other) {
 
 CsrGraph::CsrGraph(CsrGraph&& other) noexcept
     : owns_(other.owns_),
+      mean_edge_weight_(other.mean_edge_weight_),
       offsets_store_(std::move(other.offsets_store_)),
       targets_store_(std::move(other.targets_store_)),
       weights_store_(std::move(other.weights_store_)) {
@@ -77,11 +94,13 @@ CsrGraph::CsrGraph(CsrGraph&& other) noexcept
   other.targets_ = {};
   other.weights_ = {};
   other.owns_ = true;
+  other.mean_edge_weight_ = 0.0;
 }
 
 CsrGraph& CsrGraph::operator=(CsrGraph&& other) noexcept {
   if (this == &other) return *this;
   owns_ = other.owns_;
+  mean_edge_weight_ = other.mean_edge_weight_;
   offsets_store_ = std::move(other.offsets_store_);
   targets_store_ = std::move(other.targets_store_);
   weights_store_ = std::move(other.weights_store_);
@@ -96,6 +115,7 @@ CsrGraph& CsrGraph::operator=(CsrGraph&& other) noexcept {
   other.targets_ = {};
   other.weights_ = {};
   other.owns_ = true;
+  other.mean_edge_weight_ = 0.0;
   return *this;
 }
 
@@ -115,12 +135,6 @@ void CsrGraph::check_shape() const {
         std::to_string(targets_.size()) + ")");
   if (targets_.size() != weights_.size())
     throw std::invalid_argument("CsrGraph: targets/weights size mismatch");
-}
-
-double CsrGraph::mean_edge_weight() const noexcept {
-  if (weights_.empty()) return 0.0;
-  const double total = std::accumulate(weights_.begin(), weights_.end(), 0.0);
-  return total / static_cast<double>(weights_.size());
 }
 
 void CsrGraph::validate() const {

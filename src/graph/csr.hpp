@@ -79,7 +79,8 @@ class CsrGraph {
 
   // Mean weight over all edges (the far-queue partitioner seeds its first
   // boundary with this, per the paper Section 4.6). 0 for edgeless graphs.
-  double mean_edge_weight() const noexcept;
+  // Computed once at construction.
+  double mean_edge_weight() const noexcept { return mean_edge_weight_; }
 
   // Structural validation: offsets monotone, targets in range. Throws
   // std::invalid_argument describing the first violation.
@@ -105,6 +106,7 @@ class CsrGraph {
   std::span<const VertexId> targets_;
   std::span<const Weight> weights_;
   bool owns_ = true;
+  double mean_edge_weight_ = 0.0;
 
   std::vector<EdgeIndex> offsets_store_;
   std::vector<VertexId> targets_store_;

@@ -8,7 +8,6 @@
 #include "ckpt/checkpoint.hpp"
 #include "core/self_tuning.hpp"
 #include "fault/failpoint.hpp"
-#include "graph/binary_io.hpp"
 #include "obs/json.hpp"
 #include "res/budget.hpp"
 #include "sssp/batch_engine.hpp"
@@ -250,9 +249,6 @@ void Server::worker_loop(std::size_t worker_id) {
   for (;;) {
     std::optional<Ticket> popped = queue_.pop();
     if (!popped.has_value()) return;  // closed and drained
-    const double queue_ms = ms_between(popped->admitted_at, Clock::now());
-    queue_wait_ms_.record(queue_ms);
-    record_hist("serve.queue_wait.ms", queue_ms);
 
     // Query coalescing: drain queued queries compatible with the one
     // just popped (same effective algorithm/delta/verify, deadline-free)
@@ -290,6 +286,14 @@ void Server::worker_loop(std::size_t worker_id) {
 
 void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
   const Clock::time_point exec_start = Clock::now();
+  // Every ticket's queue wait is recorded once, coalesced ones and a
+  // shed one included.
+  std::vector<double> queue_ms(batch.size(), 0.0);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    queue_ms[i] = ms_between(batch[i].admitted_at, exec_start);
+    queue_wait_ms_.record(queue_ms[i]);
+    record_hist("serve.queue_wait.ms", queue_ms[i]);
+  }
   // Only a lone ticket can carry a deadline: batchable() coalesces
   // deadline-free tickets only.
   const Clock::time_point deadline = batch.front().deadline;
@@ -299,7 +303,7 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
     bump("serve.shed.expired");
     Response response = make_shed(batch.front().request, Status::kExpired,
                                   "deadline expired in queue", false);
-    response.queue_ms = ms_between(batch.front().admitted_at, exec_start);
+    response.queue_ms = queue_ms.front();
     respond(batch.front(), std::move(response));
     return;
   }
@@ -336,9 +340,6 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
   // tickets have been answered so the exception paths below can sweep
   // up exactly the remainder.
   std::vector<bool> responded(batch.size(), false);
-  std::vector<double> queue_ms(batch.size(), 0.0);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    queue_ms[i] = ms_between(batch[i].admitted_at, exec_start);
   const auto answer = [&](std::size_t i, Response&& response,
                           double run_ms) {
     response.id = batch[i].request.id;
@@ -355,22 +356,21 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
     answer(i, std::move(response), run_ms);
   };
   const auto succeed = [&](std::size_t i, const CacheEntry& entry,
-                           bool cache_hit, bool certified, double run_ms) {
+                           bool cache_hit, double run_ms) {
     const Request& request = batch[i].request;
     Response response;
     response.status = Status::kOk;
     response.algorithm = algorithm;
-    response.reached = entry.result.reached_count();
-    response.iterations = entry.result.num_iterations();
-    response.improving_relaxations = entry.result.improving_relaxations;
-    response.dist_checksum = entry.dist_checksum;
+    response.reached = entry.reached();
+    response.iterations = entry.iterations();
+    response.improving_relaxations = entry.improving_relaxations();
+    response.dist_checksum = entry.dist_checksum();
     response.cache_hit = cache_hit;
     response.verified = verify;
-    response.certified = certified;
+    response.certified = verify && entry.certified();
     response.targets.reserve(request.targets.size());
     for (const graph::VertexId v : request.targets)
-      response.targets.push_back(
-          TargetDistance{v, entry.result.distances[v]});
+      response.targets.push_back(TargetDistance{v, entry.distance(v)});
     const double total_ms = queue_ms[i] + run_ms;
     latency_ms_.record(total_ms);
     record_hist("serve.latency.ms", total_ms);
@@ -395,14 +395,17 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
     if (SSSP_FAILPOINT("serve.handler.crash"))
       throw std::runtime_error("injected handler crash");
 
-    // Cache hits are answered up front, each re-certified on read (the
-    // serve.cache.flip drill); the misses dedup by source.
+    // Cache hits are answered up front. Each entry was certified once,
+    // when it was built; a hit compares the storage checksum taken then
+    // (catching the serve.cache.flip drill), whatever the verify flag.
+    // A verified query never takes an entry stored with verification
+    // waived. The misses dedup by source.
     std::vector<graph::VertexId> sources;
     std::vector<std::size_t> lane_of(batch.size(), 0);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const graph::VertexId source = batch[i].request.source;
       const std::shared_ptr<const CacheEntry> hit =
-          cache_.lookup(key_for(source));
+          cache_.lookup(key_for(source), /*certified_only=*/verify);
       if (hit == nullptr) {
         bump("serve.cache.miss");
         const auto found = std::find(sources.begin(), sources.end(), source);
@@ -411,27 +414,21 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
         continue;
       }
       bump("serve.cache.hit");
-      bool certified = false;
-      if (verify) {
-        const verify::Certificate certificate =
-            verify::certify(graph_, hit->result);
-        certified = certificate.certified;
-        if (!certified) {
-          // Poisoned cache entry: quarantine it so the next query for
-          // this key recomputes instead of re-serving the corruption.
-          certification_failures_.fetch_add(1, std::memory_order_relaxed);
-          bump("serve.certification.failed");
-          cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
-          bump("serve.cache.poisoned");
-          cache_.invalidate(key_for(source));
-          fail(i, Status::kError,
-               "cached result failed certification: " +
-                   certificate.summary(),
-               ms_between(exec_start, Clock::now()));
-          continue;
-        }
+      if (!hit->intact()) {
+        // Poisoned cache entry: quarantine it so the next query for
+        // this key recomputes instead of re-serving the corruption.
+        certification_failures_.fetch_add(1, std::memory_order_relaxed);
+        bump("serve.certification.failed");
+        cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
+        bump("serve.cache.poisoned");
+        cache_.invalidate(key_for(source));
+        fail(i, Status::kError,
+             "cached result failed certification: storage checksum "
+             "mismatch",
+             ms_between(exec_start, Clock::now()));
+        continue;
       }
-      succeed(i, *hit, /*cache_hit=*/true, certified,
+      succeed(i, *hit, /*cache_hit=*/true,
               ms_between(exec_start, Clock::now()));
     }
 
@@ -461,22 +458,16 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
       }
     }
 
-    // Certify and insert each fresh result. Only certified (or
-    // verification-waived) results enter the cache; the insert-side
-    // serve.cache.flip drill poisons *after* this point by construction.
+    // Certify each fresh result (parents included) and cache it as a
+    // slim entry. Only certified (or verification-waived) results enter
+    // the cache; the insert-side serve.cache.flip drill poisons *after*
+    // the entry's storage checksum is taken.
     std::vector<std::shared_ptr<const CacheEntry>> entries(sources.size());
-    std::vector<bool> lane_certified(sources.size(), false);
     std::vector<std::string> lane_error(sources.size());
     for (std::size_t l = 0; l < sources.size(); ++l) {
-      auto fresh = std::make_shared<CacheEntry>();
-      fresh->result = std::move(results[l]);
-      fresh->dist_checksum = graph::fnv1a64(
-          fresh->result.distances.data(),
-          fresh->result.distances.size() * sizeof(graph::Distance));
       if (verify) {
         const verify::Certificate certificate =
-            verify::certify(graph_, fresh->result);
-        lane_certified[l] = certificate.certified;
+            verify::certify(graph_, results[l]);
         if (!certificate.certified) {
           certification_failures_.fetch_add(1, std::memory_order_relaxed);
           bump("serve.certification.failed");
@@ -485,8 +476,8 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
           continue;  // never cache a bad result
         }
       }
-      cache_.insert(key_for(sources[l]), fresh);
-      entries[l] = std::move(fresh);
+      entries[l] = std::make_shared<const CacheEntry>(results[l], verify);
+      cache_.insert(key_for(sources[l]), entries[l]);
     }
 
     // Fan each fresh result out to every ticket that asked for it; they
@@ -500,10 +491,8 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
         continue;
       }
       maybe_sample(batch[i].request.id, sources[l], algorithm,
-                   entries[l]->result.iterations,
-                   /*batched=*/batch.size() > 1);
-      succeed(i, *entries[l], /*cache_hit=*/false, lane_certified[l],
-              run_ms);
+                   results[l].iterations, /*batched=*/batch.size() > 1);
+      succeed(i, *entries[l], /*cache_hit=*/false, run_ms);
     }
     // The retry hint's per-query cost: this execution's time per ticket.
     const double per_query_ms = ms_between(exec_start, Clock::now()) /
@@ -719,6 +708,7 @@ void Server::write_report(std::ostream& out) const {
   w.key("p99").value(s.latency_ms_p99);
   w.end_object();
   w.key("queue_wait_ms").begin_object();
+  w.key("count").value(queue_wait_ms_.count());
   w.key("p50").value(s.queue_ms_p50);
   w.key("p95").value(s.queue_ms_p95);
   w.key("p99").value(s.queue_ms_p99);

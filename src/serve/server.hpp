@@ -13,8 +13,9 @@
 //   - every submitted request gets exactly one structured response
 //     (no silent drops once a request is admitted or shed);
 //   - every `ok` response with verification on passed certification —
-//     including cache hits, which re-certify the cached arrays (the
-//     `serve.cache.flip` poisoning drill);
+//     a cache hit serves an entry the certifier passed when it was
+//     built, and only after its storage checksum shows the stored
+//     distances unchanged (the `serve.cache.flip` poisoning drill);
 //   - a handler crash (`serve.handler.crash`) costs one `error`
 //     response, never a worker or a queue slot;
 //   - drain (SIGINT/SIGTERM/EOF) stops admissions, finishes or sheds
@@ -172,11 +173,12 @@ class Server {
   void worker_loop(std::size_t worker_id);
   // The one execution path for popped queries. `batch` holds mutually
   // compatible tickets (same effective algorithm, delta and verify
-  // flag); only a lone ticket may carry a deadline. Sheds a lone
-  // ticket whose deadline passed in the queue, answers cache hits
-  // after re-certifying them, solves each distinct missed source once
-  // (near-far through run_batch), certifies and caches each fresh
-  // result, and fans it out. Exactly one response per ticket on every
+  // flag); only a lone ticket may carry a deadline. Records every
+  // ticket's queue wait, sheds a lone ticket whose deadline passed in
+  // the queue, answers cache hits after comparing their storage
+  // checksums, solves each distinct missed source once (near-far
+  // through run_batch), certifies each fresh result, caches it as a
+  // slim entry, and fans it out. Exactly one response per ticket on every
   // path — success, certification failure, deadline, drain
   // interruption, or handler crash.
   void execute(std::vector<Ticket>& batch, std::size_t worker_id);

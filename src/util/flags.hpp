@@ -14,7 +14,8 @@
 namespace sssp::util {
 
 // A command-line error: an unknown flag, or a value that does not parse
-// as the type it is read as. Tools exit 2 on it (tools/tool_common.hpp).
+// as the type it is read as, is out of range or names no accepted
+// choice. Tools exit 2 on it (tools/tool_common.hpp).
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -48,6 +49,43 @@ TEST(CsrGraph, EdgeIndexAccessors) {
 TEST(CsrGraph, MeanEdgeWeight) {
   const CsrGraph g = make_triangle();
   EXPECT_DOUBLE_EQ(g.mean_edge_weight(), 3.0);
+}
+
+// The mean is computed once, at construction, and every copy, move and
+// view carries the very value a fresh edge-order sum gives: default
+// deltas, iteration traces and checksums depend on its last bit.
+TEST(CsrGraph, MeanEdgeWeightSurvivesCopyMoveAndView) {
+  std::vector<EdgeIndex> offsets = {0};
+  std::vector<VertexId> targets;
+  std::vector<Weight> weights;
+  for (VertexId v = 0; v < 100; ++v) {
+    for (VertexId k = 0; k < 3; ++k) {
+      targets.push_back((v + k + 1) % 100);
+      weights.push_back(1 + (v * 2654435761u + k * 40503u) % 99991u);
+    }
+    offsets.push_back(targets.size());
+  }
+  const double expected =
+      std::accumulate(weights.begin(), weights.end(), 0.0) /
+      static_cast<double>(weights.size());
+
+  const CsrGraph view = CsrGraph::view(offsets, targets, weights);
+  EXPECT_EQ(view.mean_edge_weight(), expected);
+  const CsrGraph view_copy = view;
+  EXPECT_EQ(view_copy.mean_edge_weight(), expected);
+
+  CsrGraph owner(offsets, targets, weights);
+  EXPECT_EQ(owner.mean_edge_weight(), expected);
+  const CsrGraph copy = owner;
+  EXPECT_EQ(copy.mean_edge_weight(), expected);
+  CsrGraph assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.mean_edge_weight(), expected);
+  const CsrGraph moved = std::move(owner);
+  EXPECT_EQ(moved.mean_edge_weight(), expected);
+  CsrGraph move_assigned;
+  move_assigned = std::move(assigned);
+  EXPECT_EQ(move_assigned.mean_edge_weight(), expected);
 }
 
 TEST(CsrGraph, ValidatePasses) {

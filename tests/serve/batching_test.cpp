@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "fault/failpoint.hpp"
+#include "graph/builder.hpp"
+#include "obs/json.hpp"
 #include "serve/server.hpp"
 #include "sssp/near_far.hpp"
 #include "tests/sssp/test_graphs.hpp"
@@ -304,6 +306,92 @@ TEST(BatchingTest, SampleReportsSurfaceIterationArrays) {
   EXPECT_NE(report.find("\"improving_relaxations\""), std::string::npos);
   // Capped at sample_reports = 2: the third query is not sampled.
   EXPECT_EQ(report.find("\"id\":\"c\""), std::string::npos);
+}
+
+// Every coalesced ticket's queue wait is recorded, not only the wait of
+// the ticket the worker popped.
+TEST(BatchingTest, QueueWaitCountsEveryCoalescedTicket) {
+  const auto g = random_graph(1024, 4.0, 60, 19);
+  ServerOptions options;
+  options.workers = 1;
+  options.batch_max = 8;
+  Server server(g, options);
+  Collector c;
+  for (graph::VertexId s = 0; s < 5; ++s)
+    server.submit(query("q" + std::to_string(s), s * 11), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(5));
+  server.drain();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses, 5u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batched_queries, 5u);
+  std::ostringstream out;
+  server.write_report(out);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(out.str(), doc)) << out.str();
+  const obs::JsonValue* queue_wait = doc.find("queue_wait_ms");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->number_or("count", -1), 5.0);
+}
+
+// The flip drill is caught on a coalesced hit when the entry keeps
+// 64-bit distances too (a path of 0xFFFFFFFF-weight edges), and the
+// poisoned hit costs its batchmate nothing.
+TEST(BatchingTest, WidePoisonedHitCaughtInBatch) {
+  std::vector<graph::Edge> edges;
+  for (graph::VertexId v = 0; v + 1 < 32; ++v)
+    edges.push_back({v, v + 1, 0xFFFFFFFFu});
+  const auto g = graph::build_csr(32, std::move(edges));
+  ServerOptions options;
+  options.workers = 1;
+  Server server(g, options);
+  server.start();
+  Collector c;
+
+  fault::FailpointRegistry::global().arm("serve.cache.flip");
+  server.submit(query("seed", 1), c.sink());
+  ASSERT_TRUE(c.wait_for(1));
+  fault::FailpointRegistry::global().disarm_all();
+
+  // Park the single worker so the next two queries coalesce.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool open = false;
+  server.submit(query("blocker", 2), [&](const Response& r) {
+    c.sink()(r);
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return open; });
+  });
+  ASSERT_TRUE(c.wait_for(2));
+  server.submit(query("poisoned", 1), c.sink());
+  server.submit(query("fresh", 3), c.sink());
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    open = true;
+  }
+  gate_cv.notify_all();
+  ASSERT_TRUE(c.wait_for(4));
+  server.drain();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batched_queries, 2u);
+  EXPECT_EQ(stats.cache_poisoned, 1u);
+  EXPECT_EQ(stats.cache.invalidations, 1u);
+  std::lock_guard<std::mutex> lock(c.mu);
+  for (const Response& r : c.responses) {
+    if (r.id == "poisoned") {
+      EXPECT_EQ(r.status, Status::kError);
+      EXPECT_NE(r.error.find("cached result failed certification"),
+                std::string::npos)
+          << r.error;
+      continue;
+    }
+    EXPECT_EQ(r.status, Status::kOk) << r.id << ": " << r.error;
+    EXPECT_TRUE(r.certified) << r.id;
+  }
 }
 
 }  // namespace

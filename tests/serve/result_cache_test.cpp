@@ -8,9 +8,9 @@
 
 #include "fault/failpoint.hpp"
 #include "graph/binary_io.hpp"
+#include "graph/builder.hpp"
 #include "sssp/dijkstra.hpp"
 #include "tests/sssp/test_graphs.hpp"
-#include "verify/certifier.hpp"
 
 namespace sssp::serve {
 namespace {
@@ -25,14 +25,20 @@ CacheKey key(std::uint64_t fingerprint, graph::VertexId source) {
   return k;
 }
 
-std::shared_ptr<CacheEntry> entry_for(const graph::CsrGraph& g,
-                                      graph::VertexId source) {
-  auto entry = std::make_shared<CacheEntry>();
-  entry->result = algo::dijkstra(g, source);
-  entry->dist_checksum = graph::fnv1a64(
-      entry->result.distances.data(),
-      entry->result.distances.size() * sizeof(graph::Distance));
-  return entry;
+std::shared_ptr<const CacheEntry> entry_for(const graph::CsrGraph& g,
+                                            graph::VertexId source) {
+  return std::make_shared<const CacheEntry>(algo::dijkstra(g, source),
+                                            /*certified=*/true);
+}
+
+// A path whose every edge weighs `weight`. With 0xFFFFFFFF, dist(1) =
+// 2^32 - 1 already does not fit a 32-bit word (that value marks
+// infinity), so its entries keep 64-bit distances.
+graph::CsrGraph path(graph::VertexId n, graph::Weight weight = 0xFFFFFFFFu) {
+  std::vector<graph::Edge> edges;
+  for (graph::VertexId v = 0; v + 1 < n; ++v)
+    edges.push_back({v, v + 1, weight});
+  return graph::build_csr(n, std::move(edges));
 }
 
 TEST(ResultCacheTest, HitAfterInsert) {
@@ -42,7 +48,7 @@ TEST(ResultCacheTest, HitAfterInsert) {
   cache.insert(key(1, 0), entry_for(g, 0));
   const auto hit = cache.lookup(key(1, 0));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->result.distances[5], 5u);
+  EXPECT_EQ(hit->distance(5), 5u);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -115,10 +121,10 @@ TEST(ResultCacheTest, ZeroCapacityDisablesCaching) {
 }
 
 // The cache-poisoning drill: with serve.cache.flip armed, the stored
-// copy has one finite distance bit-flipped while the producer-computed
-// checksum is untouched — so the read side (certification or checksum
-// comparison) must catch it. This is the in-vitro version of what the
-// server's cache-hit path does in production.
+// copy has one finite distance bit-flipped after its storage checksum
+// was taken, while the producer-computed wire checksum is untouched —
+// so the read-side checksum comparison must catch it. This is the
+// in-vitro version of what the server's cache-hit path does.
 TEST(ResultCacheTest, PoisonedInsertIsCaughtOnRead) {
   const auto g = ring(64);
   ResultCache cache(4);
@@ -129,17 +135,16 @@ TEST(ResultCacheTest, PoisonedInsertIsCaughtOnRead) {
 
   const auto poisoned = cache.lookup(key(1, 0));
   ASSERT_NE(poisoned, nullptr);
-  // The caller's copy was not mutated — only the stored one.
-  const verify::Certificate clean_cert = verify::certify(g, clean->result);
-  EXPECT_TRUE(clean_cert.certified);
-  // Certification catches the flip...
-  const verify::Certificate cert = verify::certify(g, poisoned->result);
-  EXPECT_FALSE(cert.certified) << cert.summary();
-  // ...and so does the checksum comparison.
-  const std::uint64_t read_checksum = graph::fnv1a64(
-      poisoned->result.distances.data(),
-      poisoned->result.distances.size() * sizeof(graph::Distance));
-  EXPECT_NE(read_checksum, poisoned->dist_checksum);
+  // The caller's copy was not mutated — only the stored one, in exactly
+  // one finite distance.
+  EXPECT_TRUE(clean->intact());
+  std::size_t differing = 0;
+  for (graph::VertexId v = 0; v < 64; ++v)
+    differing += poisoned->distance(v) != clean->distance(v) ? 1 : 0;
+  EXPECT_EQ(differing, 1u);
+  EXPECT_EQ(poisoned->dist_checksum(), clean->dist_checksum());
+  // The storage checksum catches the flip.
+  EXPECT_FALSE(poisoned->intact());
 }
 
 // Byte bound (docs/ROBUSTNESS.md, "Resource budgets & exhaustion"):
@@ -147,11 +152,15 @@ TEST(ResultCacheTest, PoisonedInsertIsCaughtOnRead) {
 // enforces a summed-bytes cap, evicting from the LRU tail.
 TEST(ResultCacheTest, ByteBudgetEvictsFromTheTail) {
   const auto g = ring(64);
-  // One ring-64 entry is ~64*12 payload bytes plus the struct; three
-  // entries fit comfortably, five do not.
-  const std::size_t one_entry =
-      sizeof(CacheEntry) + 64 * (sizeof(graph::Distance) +
-                                 sizeof(graph::VertexId));
+  // Size one ring-64 entry as the cache counts it; three entries fit
+  // comfortably, five do not.
+  std::size_t one_entry = 0;
+  {
+    ResultCache probe(1);
+    probe.insert(key(1, 0), entry_for(g, 0));
+    one_entry = probe.stats().bytes;
+  }
+  ASSERT_GT(one_entry, 0u);
   ResultCache cache(100, 3 * one_entry + one_entry / 2);
   for (graph::VertexId s = 0; s < 5; ++s)
     cache.insert(key(1, s), entry_for(g, s));
@@ -187,7 +196,7 @@ TEST(ResultCacheTest, BytesAccountingFollowsInsertAndInvalidate) {
 TEST(ResultCacheTest, ConcurrentHitInsertEvict) {
   const auto g = ring(32);
   ResultCache cache(4);
-  std::vector<std::shared_ptr<CacheEntry>> entries;
+  std::vector<std::shared_ptr<const CacheEntry>> entries;
   for (graph::VertexId s = 0; s < 8; ++s) entries.push_back(entry_for(g, s));
 
   std::vector<std::thread> threads;
@@ -199,7 +208,7 @@ TEST(ResultCacheTest, ConcurrentHitInsertEvict) {
           cache.insert(key(1, s), entries[s]);
         } else if (const auto hit = cache.lookup(key(1, s)); hit != nullptr) {
           // Touch the payload: a use-after-evict would trip TSan/ASan.
-          EXPECT_EQ(hit->result.distances[s], 0u);  // source's own distance
+          EXPECT_EQ(hit->distance(s), 0u);  // source's own distance
         }
       }
     });
@@ -208,6 +217,66 @@ TEST(ResultCacheTest, ConcurrentHitInsertEvict) {
   const auto stats = cache.stats();
   EXPECT_LE(stats.entries, 4u);
   EXPECT_GT(stats.hits + stats.misses, 0u);
+}
+
+// Entries keep 32-bit words when every finite distance fits and 64-bit
+// ones otherwise — 2^32 - 2 is the largest that fits — and either way
+// they read back exactly, with the wire checksum over the 64-bit
+// distances and the solve's counters.
+TEST(ResultCacheTest, EntriesNarrowOnlyWhenEveryDistanceFits) {
+  // The random graph leaves some vertices unreached, so infinity makes
+  // the 32-bit round trip too.
+  const auto random = algo::testing::random_graph(257, 3.0, 1000, 7);
+  const auto largest_narrow = path(2, 0xFFFFFFFEu);
+  const auto smallest_wide = path(2);
+  const auto wide = path(9);
+  const struct {
+    const graph::CsrGraph* graph;
+    bool wide;
+  } cases[] = {{&random, false},
+               {&largest_narrow, false},
+               {&smallest_wide, true},
+               {&wide, true}};
+  for (const auto& c : cases) {
+    const algo::SsspResult result = algo::dijkstra(*c.graph, 0);
+    const std::size_t n = c.graph->num_vertices();
+    const CacheEntry entry(result, /*certified=*/false);
+    ASSERT_EQ(entry.words().size(), c.wide ? n : (n + 1) / 2) << n;
+    for (graph::VertexId v = 0; v < n; ++v)
+      EXPECT_EQ(entry.distance(v), result.distances[v]) << v;
+    EXPECT_EQ(entry.dist_checksum(),
+              graph::fnv1a64(result.distances.data(),
+                             result.distances.size() *
+                                 sizeof(graph::Distance)));
+    EXPECT_EQ(entry.reached(), result.reached_count());
+    EXPECT_EQ(entry.iterations(), result.num_iterations());
+    EXPECT_EQ(entry.improving_relaxations(), result.improving_relaxations);
+    EXPECT_FALSE(entry.certified());
+    EXPECT_TRUE(entry.intact());
+  }
+  ASSERT_LT(algo::dijkstra(random, 0).reached_count(), random.num_vertices());
+}
+
+// Every single-bit flip of a stored buffer changes the storage
+// checksum, at both widths (exhaustive over every bit of each buffer).
+TEST(ResultCacheTest, StorageChecksumCatchesEverySingleBitFlip) {
+  const auto narrow_graph = ring(11);  // odd: the last word is half used
+  const auto wide_graph = path(7);
+  for (const graph::CsrGraph* g : {&narrow_graph, &wide_graph}) {
+    const CacheEntry entry(algo::dijkstra(*g, 0), /*certified=*/true);
+    const std::uint64_t stored = word_checksum(entry.words());
+    std::vector<std::uint64_t> words(entry.words().begin(),
+                                     entry.words().end());
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (int bit = 0; bit < 64; ++bit) {
+        words[w] ^= std::uint64_t{1} << bit;
+        EXPECT_NE(word_checksum(words), stored) << "word " << w << " bit "
+                                                << bit;
+        words[w] ^= std::uint64_t{1} << bit;
+      }
+    }
+    EXPECT_EQ(word_checksum(words), stored);
+  }
 }
 
 }  // namespace

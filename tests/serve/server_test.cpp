@@ -14,9 +14,12 @@
 #include <vector>
 
 #include "fault/failpoint.hpp"
+#include "graph/binary_io.hpp"
+#include "graph/builder.hpp"
 #include "obs/json.hpp"
 #include "res/budget.hpp"
 #include "serve/socket.hpp"
+#include "sssp/dijkstra.hpp"
 #include "tests/sssp/test_graphs.hpp"
 
 namespace sssp::serve {
@@ -88,7 +91,7 @@ TEST(ServerTest, OkQueryIsCertifiedAndCached) {
   const Response second = c.responses[1];
   EXPECT_EQ(second.status, Status::kOk);
   EXPECT_TRUE(second.cache_hit);
-  EXPECT_TRUE(second.certified);  // cache hits re-certify
+  EXPECT_TRUE(second.certified);  // served from a certified entry
   EXPECT_EQ(second.dist_checksum, first.dist_checksum);
   server.drain();
 }
@@ -257,6 +260,91 @@ TEST(ServerTest, PoisonedCacheEntryCaughtQuarantinedRecomputed) {
   EXPECT_FALSE(c.responses[2].cache_hit);
   EXPECT_TRUE(c.responses[2].certified);
   server.drain();
+}
+
+// An entry stored with verification waived never yields `certified`: a
+// verified query for its source treats it as a miss (solve, certify,
+// replace), and the certified replacement then serves certified hits.
+TEST(ServerTest, WaivedEntryIsAMissForAVerifiedQuery) {
+  const auto g = random_graph(512, 4.0, 100, 2);
+  Server server(g, {});
+  server.start();
+  Collector c;
+  server.submit(query("waived", 3, ",\"verify\":false"), c.sink());
+  ASSERT_TRUE(c.wait_for(1));
+  server.submit(query("verified", 3), c.sink());
+  ASSERT_TRUE(c.wait_for(2));
+  server.submit(query("hit", 3), c.sink());
+  ASSERT_TRUE(c.wait_for(3));
+  server.drain();
+
+  const Response waived = c.responses[0];
+  ASSERT_EQ(waived.status, Status::kOk) << waived.error;
+  EXPECT_FALSE(waived.verified);
+  EXPECT_FALSE(waived.certified);
+  const Response verified = c.responses[1];
+  ASSERT_EQ(verified.status, Status::kOk) << verified.error;
+  EXPECT_TRUE(verified.certified);
+  EXPECT_FALSE(verified.cache_hit);
+  EXPECT_EQ(verified.dist_checksum, waived.dist_checksum);
+  const Response hit = c.responses[2];
+  ASSERT_EQ(hit.status, Status::kOk) << hit.error;
+  EXPECT_TRUE(hit.certified);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.dist_checksum, waived.dist_checksum);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.cache.entries, 1u);
+}
+
+// Distances that do not fit 32 bits keep 64-bit cache entries: targets
+// come back exact, the wire checksum equals an uncached solve's, and the
+// flip drill is still caught on the hit.
+TEST(ServerTest, WideDistancesAreCachedExactlyAndChecked) {
+  const graph::VertexId n = 16;
+  std::vector<graph::Edge> edges;
+  for (graph::VertexId v = 0; v + 1 < n; ++v)
+    edges.push_back({v, v + 1, 0xFFFFFFFFu});
+  const auto g = graph::build_csr(n, std::move(edges));
+  const algo::SsspResult uncached = algo::dijkstra(g, 0);
+  const std::uint64_t expected_checksum = graph::fnv1a64(
+      uncached.distances.data(),
+      uncached.distances.size() * sizeof(graph::Distance));
+
+  Server server(g, {});
+  server.start();
+  Collector c;
+  server.submit(query("miss", 0, ",\"targets\":[1,15]"), c.sink());
+  ASSERT_TRUE(c.wait_for(1));
+  server.submit(query("hit", 0, ",\"targets\":[1,15]"), c.sink());
+  ASSERT_TRUE(c.wait_for(2));
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Response r = c.responses[i];
+    ASSERT_EQ(r.status, Status::kOk) << r.id << ": " << r.error;
+    EXPECT_EQ(r.cache_hit, i == 1) << r.id;
+    EXPECT_TRUE(r.certified) << r.id;
+    EXPECT_EQ(r.dist_checksum, expected_checksum) << r.id;
+    ASSERT_EQ(r.targets.size(), 2u);
+    EXPECT_EQ(r.targets[0].distance, uncached.distances[1]);
+    EXPECT_EQ(r.targets[1].distance, uncached.distances[15]);
+  }
+  EXPECT_EQ(c.responses[1].targets[1].distance, 15ull * 0xFFFFFFFFull);
+
+  fault::FailpointRegistry::global().arm("serve.cache.flip");
+  server.submit(query("seed", 1), c.sink());
+  ASSERT_TRUE(c.wait_for(3));
+  fault::FailpointRegistry::global().disarm_all();
+  EXPECT_EQ(c.responses[2].status, Status::kOk);
+  server.submit(query("poisoned", 1), c.sink());
+  ASSERT_TRUE(c.wait_for(4));
+  server.drain();
+  EXPECT_EQ(c.responses[3].status, Status::kError);
+  EXPECT_NE(c.responses[3].error.find("cached result failed certification"),
+            std::string::npos)
+      << c.responses[3].error;
+  EXPECT_EQ(server.stats().cache_poisoned, 1u);
+  EXPECT_EQ(server.stats().cache.invalidations, 1u);
 }
 
 TEST(ServerTest, DrainShedsEverythingAndStops) {

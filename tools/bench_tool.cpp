@@ -668,15 +668,15 @@ int main(int argc, char** argv) {
 
     const std::string matrix = flags.get_string("matrix");
     if (matrix != "quick" && matrix != "full")
-      throw std::runtime_error("--matrix expects quick or full");
+      throw util::FlagError("--matrix expects quick or full");
     const bool full = matrix == "full";
     const int runs = static_cast<int>(flags.get_int("runs"));
     const int warmup = static_cast<int>(flags.get_int("warmup"));
     if (runs < 1 || warmup < 0)
-      throw std::runtime_error("--runs must be >= 1 and --warmup >= 0");
+      throw util::FlagError("--runs must be >= 1 and --warmup >= 0");
     const double slowdown = flags.get_double("slowdown");
     if (slowdown < 1.0)
-      throw std::runtime_error("--slowdown must be >= 1");
+      throw util::FlagError("--slowdown must be >= 1");
 
     prof::Profiler::Options profile_options;
     profile_options.use_perf = !flags.get_bool("profile-no-perf");

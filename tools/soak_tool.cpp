@@ -76,7 +76,7 @@ std::vector<std::size_t> parse_threads_list(const std::string& spec) {
     if (!item.empty()) out.push_back(std::stoul(item));
     pos = comma + 1;
   }
-  if (out.empty()) throw std::runtime_error("--threads-list is empty");
+  if (out.empty()) throw util::FlagError("--threads-list is empty");
   return out;
 }
 

@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
       } else {
         const auto slash = dvfs.find('/');
         if (slash == std::string::npos)
-          throw std::runtime_error("--dvfs expects 'default' or 'core/mem'");
+          throw util::FlagError("--dvfs expects 'default' or 'core/mem'");
         policy = std::make_unique<sim::PinnedDvfs>(sim::FrequencyPair{
             static_cast<std::uint32_t>(std::stoul(dvfs.substr(0, slash))),
             static_cast<std::uint32_t>(std::stoul(dvfs.substr(slash + 1)))});

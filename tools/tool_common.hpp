@@ -71,8 +71,8 @@ struct ResidentGraph {
 inline ResidentGraph load_resident_graph(const std::string& path,
                                          const std::string& mode = "auto") {
   if (mode != "auto" && mode != "on" && mode != "off")
-    throw std::runtime_error("--mmap expects auto, on, or off (got '" +
-                             mode + "')");
+    throw util::FlagError("--mmap expects auto, on, or off (got '" + mode +
+                           "')");
   ResidentGraph resident;
   const bool mappable =
       ends_with(path, ".bin") && graph::is_mappable_cache(path);
@@ -148,7 +148,7 @@ inline void write_observability_outputs(const util::Flags& flags) {
   if (const auto path = flags.get_string("metrics-out"); !path.empty()) {
     const std::string format = flags.get_string("metrics-format");
     if (format != "json" && format != "prometheus")
-      throw std::runtime_error("--metrics-format expects json or prometheus");
+      throw util::FlagError("--metrics-format expects json or prometheus");
     // tmp+fsync+rename: a crash or ENOSPC mid-write must never leave a
     // truncated export for downstream tooling to misparse.
     util::atomic_write_file(path,
@@ -235,7 +235,7 @@ inline void define_threads_flag(util::Flags& flags) {
 // count (for run reports). Must run before the parallel work starts.
 inline std::size_t apply_threads_flag(const util::Flags& flags) {
   const std::int64_t requested = flags.get_int("threads");
-  if (requested < 0) throw std::runtime_error("--threads must be >= 0");
+  if (requested < 0) throw util::FlagError("--threads must be >= 0");
   util::ThreadPool::set_global_threads(static_cast<std::size_t>(requested));
   return util::ThreadPool::global().size();
 }
@@ -334,10 +334,10 @@ inline constexpr int kExitDiskFull = 17;
 inline constexpr int kExitResourceBudget = 18;
 
 // Prints the failure in flight and maps it to the exit-code table:
-// flag errors (util::FlagError: an unknown flag or a value that does
-// not parse) are usage errors and exit 2, structured loader errors
-// 3-8, a full disk 17, a refused budget or std::bad_alloc 18, anything
-// else 1. Call only from a catch block; every tool ends its main with
+// flag errors (util::FlagError: an unknown flag, or a value that does
+// not parse, is out of range or names no accepted choice) are usage
+// errors and exit 2, structured loader errors 3-8, a full disk 17, a
+// refused budget or std::bad_alloc 18, anything else 1. Call only from a catch block; every tool ends its main with
 // `catch (...) { return tools::exit_code_for_failure(); }`, after any
 // tool-specific handlers.
 inline int exit_code_for_failure() {
@@ -399,13 +399,13 @@ inline bool apply_run_control_flags(const util::Flags& flags,
     control.set_deadline(static_cast<double>(ms) / 1000.0);
     armed = true;
   } else if (ms < 0) {
-    throw std::runtime_error("--deadline-ms must be >= 0");
+    throw util::FlagError("--deadline-ms must be >= 0");
   }
   if (const std::int64_t limit = flags.get_int("stall-limit"); limit > 0) {
     control.set_stall_limit(static_cast<std::uint64_t>(limit));
     armed = true;
   } else if (limit < 0) {
-    throw std::runtime_error("--stall-limit must be >= 0");
+    throw util::FlagError("--stall-limit must be >= 0");
   }
   return armed;
 }
@@ -454,15 +454,15 @@ inline void apply_resource_flags(const util::Flags& flags) {
   if (const std::int64_t mb = flags.get_int("mem-budget-mb"); mb > 0)
     budget.set_memory_limit(static_cast<std::uint64_t>(mb) * 1024 * 1024);
   else if (mb < 0)
-    throw std::runtime_error("--mem-budget-mb must be >= 0");
+    throw util::FlagError("--mem-budget-mb must be >= 0");
   if (const std::int64_t mb = flags.get_int("scratch-budget-mb"); mb > 0)
     budget.set_scratch_limit(static_cast<std::uint64_t>(mb) * 1024 * 1024);
   else if (mb < 0)
-    throw std::runtime_error("--scratch-budget-mb must be >= 0");
+    throw util::FlagError("--scratch-budget-mb must be >= 0");
   if (const std::int64_t headroom = flags.get_int("fd-headroom"); headroom > 0)
     budget.set_fd_headroom(static_cast<std::uint64_t>(headroom));
   else if (headroom < 0)
-    throw std::runtime_error("--fd-headroom must be >= 0");
+    throw util::FlagError("--fd-headroom must be >= 0");
 }
 
 // Registers the checkpoint/resume flags. Call before handle_help().
