@@ -6,7 +6,6 @@
 
 #include "fault/failpoint.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sssp::core {
 
@@ -72,53 +71,9 @@ void PartitionedFarQueue::push_bulk(
     std::span<const Distance> current_distances) {
   const std::size_t n = vertices.size();
   if (n == 0) return;
-  constexpr std::size_t kParallelThreshold = 4096;
-  if (n < kParallelThreshold) {
-    for (const VertexId v : vertices) {
-      const Distance d = current_distances[v];
-      partitions_[partition_index_for(d)].entries.push_back({v, d});
-    }
-  } else {
-    // Count → exclusive-prefix-sum → write over (range × partition)
-    // cells. Ranges are contiguous slices of the input and each
-    // partition's slots are assigned range-major, so every partition
-    // sees its entries in input order — bit-identical to the serial
-    // push loop at any thread count.
-    util::ThreadPool& pool = util::ThreadPool::global();
-    const std::size_t num_parts = partitions_.size();
-    const std::size_t ranges =
-        std::max<std::size_t>(1, std::min(n, pool.size() * 4));
-    const std::size_t per = (n + ranges - 1) / ranges;
-    std::vector<std::size_t> counts(ranges * num_parts, 0);
-    pool.for_each_chunk(ranges, [&](std::size_t r, std::size_t) {
-      std::size_t* mine = counts.data() + r * num_parts;
-      const std::size_t begin = std::min(n, r * per);
-      const std::size_t end = std::min(n, begin + per);
-      for (std::size_t i = begin; i < end; ++i)
-        ++mine[partition_index_for(current_distances[vertices[i]])];
-    });
-    // Exclusive prefix per partition (partition-major over range-major
-    // cells), offset by each partition's existing tail.
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      std::size_t offset = partitions_[p].entries.size();
-      for (std::size_t r = 0; r < ranges; ++r) {
-        const std::size_t c = counts[r * num_parts + p];
-        counts[r * num_parts + p] = offset;
-        offset += c;
-      }
-      partitions_[p].entries.resize(offset);
-    }
-    pool.for_each_chunk(ranges, [&](std::size_t r, std::size_t) {
-      std::size_t* cursor = counts.data() + r * num_parts;
-      const std::size_t begin = std::min(n, r * per);
-      const std::size_t end = std::min(n, begin + per);
-      for (std::size_t i = begin; i < end; ++i) {
-        const VertexId v = vertices[i];
-        const Distance d = current_distances[v];
-        const std::size_t p = partition_index_for(d);
-        partitions_[p].entries[cursor[p]++] = {v, d};
-      }
-    });
+  for (const VertexId v : vertices) {
+    const Distance d = current_distances[v];
+    partitions_[partition_index_for(d)].entries.push_back({v, d});
   }
   total_entries_ += n;
   if (obs::metrics_enabled()) FarQueueMetrics::get().pushes.add(n);

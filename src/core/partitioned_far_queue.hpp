@@ -37,11 +37,9 @@ class PartitionedFarQueue {
   void push(graph::VertexId v, graph::Distance d);
 
   // Bulk push of an engine spill: entry i is (vertices[i],
-  // current_distances[vertices[i]]). Equivalent to pushing in input
-  // order — each partition receives its entries in the order they
-  // appear in `vertices` — but runs the partition classification on the
-  // thread pool (count → exclusive-prefix-sum → write) for large
-  // spills, so the result is identical at any thread count.
+  // current_distances[vertices[i]]), pushed in input order, so each
+  // partition receives its entries in the order they appear in
+  // `vertices`.
   void push_bulk(std::span<const graph::VertexId> vertices,
                  std::span<const graph::Distance> current_distances);
 

@@ -1,8 +1,8 @@
-// Frontier-based Bellman-Ford — the "maximum parallelism, maximum
-// redundant work" end of the SSSP design space, used as a comparison
-// point and as a stress test for the relaxation machinery. Optionally
-// runs rounds in parallel on the host thread pool with atomic-min
-// relaxations (the final distances are interleaving-independent).
+// Frontier-based Bellman-Ford — the "maximum redundant work" end of the
+// SSSP design space, used as a comparison point. It is the near-far
+// loop at an infinite threshold (Dong et al., arXiv:2105.06145): every
+// improved vertex stays in the next frontier and the far queue stays
+// empty, so each iteration is one full Bellman-Ford round.
 #pragma once
 
 #include "graph/csr.hpp"
@@ -10,12 +10,6 @@
 
 namespace sssp::algo {
 
-struct BellmanFordOptions {
-  // Use the global host thread pool for each relaxation round.
-  bool parallel = false;
-};
-
-SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source,
-                        const BellmanFordOptions& options = {});
+SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source);
 
 }  // namespace sssp::algo

@@ -48,28 +48,6 @@ std::vector<graph::VertexId> reconstruct_path(const SsspResult& result,
   return path;
 }
 
-std::vector<graph::VertexId> derive_parents(
-    const graph::CsrGraph& graph,
-    const std::vector<graph::Distance>& distances, graph::VertexId source) {
-  const std::size_t n = graph.num_vertices();
-  std::vector<graph::VertexId> parents(n, graph::kInvalidVertex);
-  if (source < n && distances[source] == 0) parents[source] = source;
-  for (graph::VertexId u = 0; u < n; ++u) {
-    const graph::Distance du = distances[u];
-    if (du == graph::kInfiniteDistance) continue;
-    const auto neighbors = graph.neighbors(u);
-    const auto weights = graph.weights_of(u);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const graph::VertexId v = neighbors[i];
-      if (v != source && parents[v] == graph::kInvalidVertex &&
-          du + weights[i] == distances[v]) {
-        parents[v] = u;
-      }
-    }
-  }
-  return parents;
-}
-
 std::size_t count_tree_violations(const graph::CsrGraph& graph,
                                   const SsspResult& result) {
   if (result.parents.size() != graph.num_vertices()) return SIZE_MAX;

@@ -66,14 +66,6 @@ std::size_t count_distance_mismatches(
 std::vector<graph::VertexId> reconstruct_path(const SsspResult& result,
                                               graph::VertexId target);
 
-// Derives a valid shortest-path tree from settled distances in one
-// serial edge sweep: any edge u->v with dist[u] + w == dist[v] closes
-// v. Used by parallel algorithms whose in-flight parent writes could
-// disagree with the final distances.
-std::vector<graph::VertexId> derive_parents(
-    const graph::CsrGraph& graph,
-    const std::vector<graph::Distance>& distances, graph::VertexId source);
-
 // Validates the whole shortest-path tree against the graph: for every
 // reached non-source vertex there must be an edge parent->v whose
 // weight closes the distance exactly (dist[parent] + w == dist[v]).

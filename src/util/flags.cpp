@@ -1,9 +1,23 @@
 #include "util/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
 namespace sssp::util {
+
+std::uint64_t parse_unsigned(const std::string& name, const std::string& text,
+                             std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  // For an unsigned value from_chars takes digits only: no sign, no
+  // whitespace, and nothing at all fails too.
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || value > max)
+    throw FlagError("flag --" + name + " expects an integer in [0, " +
+                    std::to_string(max) + "], got '" + text + "'");
+  return value;
+}
 
 Flags::Flags(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];

@@ -21,6 +21,13 @@ class FlagError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+// Parses `text` as a decimal integer in [0, max] for the flag `name`,
+// for values read out of a larger flag text (a list item, one half of
+// a pair). Throws FlagError on empty text, a sign or any other
+// non-digit, trailing junk, or a value above max.
+std::uint64_t parse_unsigned(const std::string& name, const std::string& text,
+                             std::uint64_t max);
+
 class Flags {
  public:
   // Parses argv; throws std::invalid_argument on malformed input.

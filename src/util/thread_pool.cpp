@@ -84,22 +84,6 @@ void ThreadPool::run_on_all(const std::function<void(std::size_t)>& fn) {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty()) {
-    body(0, n);
-    return;
-  }
-  const std::size_t chunks = std::min(n, size() * 4);
-  const std::size_t per = (n + chunks - 1) / chunks;
-  for_each_chunk(chunks, [&](std::size_t chunk, std::size_t) {
-    const std::size_t begin = chunk * per;
-    const std::size_t end = std::min(n, begin + per);
-    if (begin < end) body(begin, end);
-  });
-}
-
 namespace {
 
 struct GlobalPoolState {
@@ -141,11 +125,6 @@ void ThreadPool::set_global_threads(std::size_t threads) {
   if (state.pool && state.pool->size() == resolved) return;
   state.pool.reset();  // join the old workers before starting new ones
   state.pool = std::make_unique<ThreadPool>(resolved);
-}
-
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  ThreadPool::global().parallel_for(n, body);
 }
 
 }  // namespace sssp::util

@@ -1,7 +1,7 @@
 // A small, dependency-free thread pool built around dynamic chunk
 // claiming: workers pull chunk indices from a shared atomic counter, so
-// a straggler chunk (one scale-free hub, one slow core) never serializes
-// the rest of the iteration behind a static schedule.
+// a straggler chunk (one slow lane, one slow core) never serializes the
+// rest of the batch behind a static schedule.
 //
 // Two layers:
 //
@@ -15,15 +15,14 @@
 //                           body is a template parameter, so per-chunk
 //                           dispatch inlines (no std::function in the
 //                           hot path).
-//   parallel_for(n, body) — legacy range API over for_each_chunk.
 //
-// The library runs work across queries on this pool — independent
-// batch lanes (sssp/batch_engine.hpp) — plus the certifier's edge sweep
-// and PartitionedFarQueue::push_bulk, each with results independent of
-// thread count and schedule (docs/PERFORMANCE.md, "Where parallelism
-// lives"). The pool itself guarantees only that every chunk runs
-// exactly once and that a batch's writes happen-before run_on_all
-// returns.
+// The library uses the pool in two places, each with results
+// independent of thread count and schedule (docs/PERFORMANCE.md, "Where
+// parallelism lives"): independent batch lanes across queries
+// (sssp/batch_engine.hpp) and the certifier's edge sweep
+// (verify/certifier.hpp). Everything inside one solve is serial. The
+// pool itself guarantees only that every chunk runs exactly once and
+// that a batch's writes happen-before run_on_all returns.
 #pragma once
 
 #include <atomic>
@@ -74,11 +73,6 @@ class ThreadPool {
     });
   }
 
-  // Runs body(begin, end) over [0, n) split into size()*4 roughly equal
-  // ranges claimed dynamically. Blocks until every range finishes.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body);
-
   // Global pool shared by the library. Sized from the SSSP_THREADS env
   // var (default hardware_concurrency) on first use, reconfigurable via
   // set_global_threads (e.g. from a --threads flag).
@@ -106,10 +100,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
 };
 
-// Convenience free functions over the global pool.
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body);
-
+// Convenience free function over the global pool.
 template <typename Body>
 void for_each_chunk(std::size_t num_chunks, Body&& body) {
   ThreadPool::global().for_each_chunk(num_chunks, std::forward<Body>(body));

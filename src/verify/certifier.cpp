@@ -16,6 +16,11 @@ namespace sssp::verify {
 
 namespace {
 
+// Graphs with at least this many vertices sweep on the thread pool;
+// smaller ones sweep inline on the caller. The certificate is identical
+// either way (docs/PERFORMANCE.md, "Where parallelism lives").
+constexpr std::size_t kPooledMinVertices = std::size_t{1} << 14;
+
 // Per-chunk findings, merged in chunk order so the certificate is
 // byte-identical at every thread count.
 struct ChunkFindings {
@@ -142,12 +147,10 @@ Certificate certify(const graph::CsrGraph& graph,
   // with relaxed atomics: any write is "true", order is irrelevant.
   std::vector<std::uint8_t> tight(n, 0);
 
-  const bool parallel = options.parallel && n >= options.parallel_threshold;
   util::ThreadPool& pool = util::ThreadPool::global();
   const std::size_t num_chunks =
-      parallel ? std::min<std::size_t>(pool.size() * 4, n ? n : 1) : 1;
-  const std::size_t chunk_size = (n + num_chunks - 1) / std::max<std::size_t>(
-                                                            num_chunks, 1);
+      n >= kPooledMinVertices ? std::min(pool.size() * 4, n) : 1;
+  const std::size_t chunk_size = (n + num_chunks - 1) / num_chunks;
   std::vector<ChunkFindings> chunks(num_chunks);
 
   auto sweep_chunk = [&](std::size_t chunk, std::size_t) {
@@ -206,11 +209,7 @@ Certificate certify(const graph::CsrGraph& graph,
     }
   };
 
-  if (parallel)
-    pool.for_each_chunk(num_chunks, sweep_chunk);
-  else
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk)
-      sweep_chunk(chunk, 0);
+  pool.for_each_chunk(num_chunks, sweep_chunk);
 
   merge_findings(cert, options.max_violations, chunks);
 

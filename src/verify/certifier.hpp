@@ -19,10 +19,10 @@
 // depth against a bug in the certifier itself, affordable on small
 // graphs.
 //
-// The edge/vertex sweep runs on the thread pool (per-chunk counters and
-// violation samples merged in chunk order, so the report is
-// deterministic at any thread count). Distance arithmetic uses the same
-// saturating add as the relaxation kernels.
+// The edge/vertex sweep runs on the thread pool on graphs of 2^14
+// vertices or more (per-chunk counters and violation samples merged in
+// chunk order, so the report is identical at any pool size). Distance
+// arithmetic uses the same saturating add as the relaxation kernels.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +55,6 @@ struct Violation {
 };
 
 struct CertifyOptions {
-  // Run the edge/vertex sweeps on the thread pool above this vertex
-  // count (results are identical either way).
-  bool parallel = true;
-  std::size_t parallel_threshold = 1 << 14;
   // Violation samples retained in the certificate (the total count is
   // always exact).
   std::size_t max_violations = 16;

@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "util/thread_pool.hpp"
-
 namespace sssp::core {
 namespace {
 
@@ -228,10 +226,9 @@ TEST(PartitionedFarQueue, RepeatedTighteningBuildsManyPartitions) {
   EXPECT_EQ(frontier.size(), 100u);
 }
 
-// A spill large enough for the pooled bulk push must land exactly as
-// pushing it entry by entry in input order would, behind the entries
-// already queued, at any pool size.
-TEST(PartitionedFarQueue, BulkPushMatchesSerialPushesAtEveryPoolSize) {
+// A bulk push must land exactly as pushing the spill entry by entry in
+// input order would, behind the entries already queued.
+TEST(PartitionedFarQueue, BulkPushMatchesSerialPushes) {
   constexpr std::size_t kN = 10000;
   std::vector<Distance> dist(kN);
   std::vector<VertexId> spill(kN);
@@ -247,14 +244,10 @@ TEST(PartitionedFarQueue, BulkPushMatchesSerialPushesAtEveryPoolSize) {
   };
   PartitionedFarQueue serial = seeded();
   for (const VertexId v : spill) serial.push(v, dist[v]);
-  for (const std::size_t threads : {1, 2, 4, 8}) {
-    util::ThreadPool::set_global_threads(threads);
-    PartitionedFarQueue bulk = seeded();
-    bulk.push_bulk(spill, dist);
-    EXPECT_EQ(bulk.size(), serial.size()) << "threads=" << threads;
-    EXPECT_EQ(bulk.state(), serial.state()) << "threads=" << threads;
-  }
-  util::ThreadPool::set_global_threads(0);
+  PartitionedFarQueue bulk = seeded();
+  bulk.push_bulk(spill, dist);
+  EXPECT_EQ(bulk.size(), serial.size());
+  EXPECT_EQ(bulk.state(), serial.state());
 }
 
 }  // namespace

@@ -133,11 +133,9 @@ TEST(MetricsRegistry, ConcurrentIncrementsUnderThreadPool) {
   Histogram& h = registry.histogram("latency");
   constexpr std::size_t kItems = 100000;
   util::ThreadPool pool(8);
-  pool.parallel_for(kItems, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      c.add(1);
-      h.record(static_cast<double>(i % 1000) + 1.0);
-    }
+  pool.for_each_chunk(kItems, [&](std::size_t i, std::size_t) {
+    c.add(1);
+    h.record(static_cast<double>(i % 1000) + 1.0);
   });
   EXPECT_EQ(c.value(), kItems);
   EXPECT_EQ(h.count(), kItems);
@@ -146,11 +144,9 @@ TEST(MetricsRegistry, ConcurrentIncrementsUnderThreadPool) {
 TEST(MetricsRegistry, ConcurrentFindOrCreateIsSafe) {
   MetricsRegistry registry;
   util::ThreadPool pool(8);
-  pool.parallel_for(1000, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      registry.counter("shared").add(1);
-      registry.counter("k" + std::to_string(i % 16)).add(1);
-    }
+  pool.for_each_chunk(1000, [&](std::size_t i, std::size_t) {
+    registry.counter("shared").add(1);
+    registry.counter("k" + std::to_string(i % 16)).add(1);
   });
   EXPECT_EQ(registry.counter("shared").value(), 1000u);
 }

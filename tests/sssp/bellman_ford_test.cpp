@@ -25,14 +25,6 @@ TEST(BellmanFord, MatchesDijkstraOnRandomGraphs) {
   }
 }
 
-TEST(BellmanFord, ParallelMatchesSerial) {
-  const auto g = testing::random_graph(2000, 5.0, 99, 42);
-  const SsspResult serial = bellman_ford(g, 0, {.parallel = false});
-  const SsspResult parallel = bellman_ford(g, 0, {.parallel = true});
-  EXPECT_EQ(count_distance_mismatches(parallel.distances, serial.distances),
-            0u);
-}
-
 TEST(BellmanFord, IterationCountBoundedByLongestPath) {
   // Ring of n vertices: exactly n-1 frontier rounds (plus final empty).
   const auto g = testing::ring(64);
@@ -46,7 +38,10 @@ TEST(BellmanFord, StatsAreConsistent) {
   std::uint64_t improving = 0;
   for (const auto& it : r.iterations) {
     EXPECT_LE(it.x3, it.improving_relaxations);
+    // An infinite threshold keeps every updated vertex near.
     EXPECT_EQ(it.x4, it.x3);
+    EXPECT_EQ(it.far_queue_size, 0u);
+    EXPECT_EQ(it.rebalance_items, 0u);
     improving += it.improving_relaxations;
   }
   EXPECT_EQ(improving, r.improving_relaxations);

@@ -82,7 +82,6 @@ TEST(Paths, TreeValidForEveryAlgorithm) {
   };
   check(dijkstra(g, 3));
   check(bellman_ford(g, 3));
-  check(bellman_ford(g, 3, {.parallel = true}));
   check(delta_stepping(g, 3, {.delta = 25}));
   check(near_far(g, 3, {.delta = 40}));
   core::SelfTuningOptions tuning;

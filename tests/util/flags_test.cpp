@@ -90,5 +90,17 @@ TEST(Flags, DoubleParsing) {
   EXPECT_DOUBLE_EQ(f.get_double("scale"), 0.125);
 }
 
+TEST(Flags, ParseUnsignedTakesDigitsOnly) {
+  EXPECT_EQ(parse_unsigned("threads-list", "4", 64), 4u);
+  EXPECT_EQ(parse_unsigned("threads-list", "0", 64), 0u);
+  EXPECT_EQ(parse_unsigned("dvfs", "4294967295", 4294967295u), 4294967295u);
+  for (const char* bad : {"-1", "4x", "", "abc", " 4", "+4"})
+    EXPECT_THROW(parse_unsigned("threads-list", bad, 64), FlagError)
+        << "'" << bad << "'";
+  EXPECT_THROW(parse_unsigned("dvfs", "4294967296", 4294967295u), FlagError);
+  EXPECT_THROW(parse_unsigned("dvfs", "99999999999999999999", UINT64_MAX),
+               FlagError);
+}
+
 }  // namespace
 }  // namespace sssp::util

@@ -3,64 +3,44 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sssp::util {
 namespace {
 
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(1000);
-  pool.parallel_for(touched.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
+  pool.for_each_chunk(0, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);
-  std::size_t total = 0;
-  pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
-    total += end - begin;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t chunks = 0;
+  pool.for_each_chunk(10, [&](std::size_t, std::size_t thread_id) {
+    EXPECT_EQ(thread_id, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++chunks;
   });
-  EXPECT_EQ(total, 10u);
+  EXPECT_EQ(chunks, 10u);
 }
 
-TEST(ThreadPool, SumMatchesSerial) {
-  ThreadPool pool(3);
-  std::atomic<long long> sum{0};
-  const std::size_t n = 100000;
-  pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    long long local = 0;
-    for (std::size_t i = begin; i < end; ++i) local += static_cast<long long>(i);
-    sum.fetch_add(local);
-  });
-  EXPECT_EQ(sum.load(), static_cast<long long>(n) * (n - 1) / 2);
-}
-
+// An exception thrown on the calling thread (thread 0) propagates like
+// a worker's, and the pool stays usable.
 TEST(ThreadPool, PropagatesException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t begin, std::size_t) {
-                          if (begin == 0) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // Pool is still usable afterwards.
+  EXPECT_THROW(pool.run_on_all([](std::size_t thread_id) {
+                 if (thread_id == 0) throw std::runtime_error("boom");
+               }),
+               std::runtime_error);
   std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
-    count.fetch_add(static_cast<int>(end - begin));
-  });
+  pool.for_each_chunk(10,
+                      [&](std::size_t, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
 }
 
@@ -68,9 +48,8 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> count{0};
-    pool.parallel_for(97, [&](std::size_t begin, std::size_t end) {
-      count.fetch_add(static_cast<int>(end - begin));
-    });
+    pool.for_each_chunk(97,
+                        [&](std::size_t, std::size_t) { count.fetch_add(1); });
     ASSERT_EQ(count.load(), 97);
   }
 }
@@ -78,9 +57,7 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   std::atomic<int> count{0};
-  parallel_for(5, [&](std::size_t begin, std::size_t end) {
-    count.fetch_add(static_cast<int>(end - begin));
-  });
+  for_each_chunk(5, [&](std::size_t, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 5);
 }
 

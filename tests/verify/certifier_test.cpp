@@ -192,27 +192,34 @@ TEST(CertifierTest, ViolationTotalExactSamplesCapped) {
   EXPECT_GT(cert.violations, 4u);
 }
 
+// A graph above the pooled cut-off: at pool size 1 the sweep's chunks
+// run inline on the caller, at 2, 4 and 8 pool threads claim them, and
+// findings merge in chunk order either way. Enough corruption to
+// overflow the sample cap makes that order visible in the samples.
 TEST(CertifierTest, ParallelAndSerialAgree) {
-  const auto g = random_graph(2048, 6.0, 100, 11);
+  const auto g = random_graph(std::size_t{1} << 15, 4.0, 100, 11);
   auto result = algo::dijkstra(g, 0);
-  // Corrupt a few labels so both paths count real violations.
-  result.distances[101] += 3;
-  result.distances[577] += 1;
-  CertifyOptions serial;
-  serial.parallel = false;
-  CertifyOptions parallel;
-  parallel.parallel = true;
-  parallel.parallel_threshold = 0;
-  for (const std::size_t threads : {1, 4}) {
+  for (const graph::VertexId v : {101u, 9000u, 17000u, 30000u})
+    if (result.distances[v] != graph::kInfiniteDistance)
+      result.distances[v] += 3;
+  for (const graph::VertexId v : {577u, 21000u})
+    if (result.distances[v] != graph::kInfiniteDistance)
+      result.distances[v] -= 1;
+  result.parents[12345] = 0;
+  util::ThreadPool::set_global_threads(1);
+  const Certificate serial = certify(g, result);
+  ASSERT_FALSE(serial.certified);
+  ASSERT_GT(serial.violations, CertifyOptions{}.max_violations);
+  for (const std::size_t threads : {2, 4, 8}) {
     util::ThreadPool::set_global_threads(threads);
-    const Certificate a = certify(g, result, serial);
-    const Certificate b = certify(g, result, parallel);
-    EXPECT_EQ(a.certified, b.certified);
-    EXPECT_EQ(a.violations, b.violations);
-    ASSERT_EQ(a.samples.size(), b.samples.size());
-    for (std::size_t i = 0; i < a.samples.size(); ++i) {
-      EXPECT_EQ(a.samples[i].kind, b.samples[i].kind);
-      EXPECT_EQ(a.samples[i].vertex, b.samples[i].vertex);
+    const Certificate pooled = certify(g, result);
+    EXPECT_EQ(pooled.certified, serial.certified) << "threads=" << threads;
+    EXPECT_EQ(pooled.violations, serial.violations) << "threads=" << threads;
+    ASSERT_EQ(pooled.samples.size(), serial.samples.size());
+    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
+      EXPECT_EQ(pooled.samples[i].kind, serial.samples[i].kind);
+      EXPECT_EQ(pooled.samples[i].vertex, serial.samples[i].vertex);
+      EXPECT_EQ(pooled.samples[i].detail, serial.samples[i].detail);
     }
   }
   util::ThreadPool::set_global_threads(0);

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -73,7 +74,9 @@ std::vector<std::size_t> parse_threads_list(const std::string& spec) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string item = spec.substr(pos, comma - pos);
-    if (!item.empty()) out.push_back(std::stoul(item));
+    if (!item.empty())
+      out.push_back(util::parse_unsigned(
+          "threads-list", item, std::numeric_limits<std::size_t>::max()));
     pos = comma + 1;
   }
   if (out.empty()) throw util::FlagError("--threads-list is empty");

@@ -6,6 +6,7 @@
 //             --device tk1 --dvfs default --trace-csv run.csv
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -90,6 +91,19 @@ int main(int argc, char** argv) {
       verify::set_flight_enabled(true);
     const std::size_t threads = tools::apply_threads_flag(flags);
     tools::apply_run_control_flags(flags, control);
+    const std::string dvfs = flags.get_string("dvfs");
+    std::optional<sim::FrequencyPair> pinned_dvfs;
+    if (dvfs != "default") {
+      const auto slash = dvfs.find('/');
+      if (slash == std::string::npos)
+        throw util::FlagError("--dvfs expects 'default' or 'core/mem'");
+      const auto mhz = [](const std::string& text) {
+        return static_cast<std::uint32_t>(util::parse_unsigned(
+            "dvfs", text, std::numeric_limits<std::uint32_t>::max()));
+      };
+      pinned_dvfs = sim::FrequencyPair{mhz(dvfs.substr(0, slash)),
+                                       mhz(dvfs.substr(slash + 1))};
+    }
     // SIGINT/SIGTERM request a graceful stop: the run aborts at the next
     // poll site, reports are flushed with "interrupted": true, and the
     // tool exits 11. A second signal hard-exits 128+signo.
@@ -296,17 +310,10 @@ int main(int argc, char** argv) {
           : device_name == "tx1" ? sim::DeviceSpec::jetson_tx1()
                                  : sim::DeviceSpec::jetson_tk1();
       std::unique_ptr<sim::DvfsPolicy> policy;
-      const std::string dvfs = flags.get_string("dvfs");
-      if (dvfs == "default") {
+      if (pinned_dvfs.has_value())
+        policy = std::make_unique<sim::PinnedDvfs>(*pinned_dvfs);
+      else
         policy = std::make_unique<sim::DefaultGovernor>();
-      } else {
-        const auto slash = dvfs.find('/');
-        if (slash == std::string::npos)
-          throw util::FlagError("--dvfs expects 'default' or 'core/mem'");
-        policy = std::make_unique<sim::PinnedDvfs>(sim::FrequencyPair{
-            static_cast<std::uint32_t>(std::stoul(dvfs.substr(0, slash))),
-            static_cast<std::uint32_t>(std::stoul(dvfs.substr(slash + 1)))});
-      }
       sim_report = sim::simulate_run(device, *policy, result.to_workload(in));
       device_label = device.name;
       dvfs_label = dvfs;
