@@ -1,5 +1,5 @@
 // Primitive microbenchmarks (google-benchmark): throughput of the
-// building blocks — advance+filter, bisect, far-queue operations,
+// building blocks — advance+filter, bisect, far-queue pushes and
 // partitioned pulls, SGD updates, and reference algorithms.
 #include <benchmark/benchmark.h>
 
@@ -7,7 +7,6 @@
 #include "core/self_tuning.hpp"
 #include "core/tunable_bfs.hpp"
 #include "core/tunable_pagerank.hpp"
-#include "core/partitioned_far_queue.hpp"
 #include "frontier/engine.hpp"
 #include "frontier/far_queue.hpp"
 #include "graph/degree_stats.hpp"
@@ -89,33 +88,13 @@ void BM_DijkstraRoad(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraRoad)->Unit(benchmark::kMillisecond);
 
-void BM_FarQueueDrain(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<graph::Distance> dist(n);
-  util::Xoshiro256 rng(1);
-  for (auto& d : dist) d = rng.next_below(1u << 20);
-  for (auto _ : state) {
-    state.PauseTiming();
-    frontier::FarQueue q;
-    for (std::size_t i = 0; i < n; ++i)
-      q.push(static_cast<graph::VertexId>(i), dist[i]);
-    std::vector<graph::VertexId> out;
-    out.reserve(n);
-    state.ResumeTiming();
-    q.drain_below(1u << 19, dist, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FarQueueDrain)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
 void BM_PartitionedPush(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Xoshiro256 rng(2);
   std::vector<graph::Distance> dist(n);
   for (auto& d : dist) d = 1 + rng.next_below(1u << 20);
   for (auto _ : state) {
-    core::PartitionedFarQueue q(1u << 10);
+    frontier::FarQueue q(1u << 10);
     // Tighten a few times so pushes exercise the binary search.
     for (int i = 0; i < 8; ++i) q.update_boundary(1000.0, 1.0);
     for (std::size_t i = 0; i < n; ++i)
@@ -128,7 +107,8 @@ BENCHMARK(BM_PartitionedPush)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_PartitionedPullVsFlatScan(benchmark::State& state) {
   // The efficiency claim of Section 4.6: pulling a bounded partition
-  // versus scanning the whole queue. Lower time here = the win.
+  // versus scanning the whole queue (arg 0: the single partition
+  // near-far runs on). Lower time here = the win.
   const std::size_t n = 1 << 18;
   util::Xoshiro256 rng(3);
   std::vector<graph::Distance> dist(n);
@@ -136,7 +116,7 @@ void BM_PartitionedPullVsFlatScan(benchmark::State& state) {
   const bool partitioned = state.range(0) != 0;
   for (auto _ : state) {
     state.PauseTiming();
-    core::PartitionedFarQueue q(partitioned ? (1u << 12) : (1u << 30));
+    frontier::FarQueue q(partitioned ? (1u << 12) : graph::kInfiniteDistance);
     for (std::size_t i = 0; i < n; ++i)
       q.push(static_cast<graph::VertexId>(i), dist[i]);
     std::vector<graph::VertexId> out;

@@ -347,7 +347,7 @@ frontier::NearFarEngine::State decode_engine(Cursor& cursor,
   return engine;
 }
 
-std::string encode_far(const core::PartitionedFarQueue::State& far) {
+std::string encode_far(const frontier::FarQueue::State& far) {
   std::string out;
   append_u64(out, far.lower_bound);
   append_u64(out, far.bounds.size());
@@ -363,9 +363,9 @@ std::string encode_far(const core::PartitionedFarQueue::State& far) {
   return out;
 }
 
-core::PartitionedFarQueue::State decode_far(Cursor& cursor,
-                                            std::uint64_t max_entries) {
-  core::PartitionedFarQueue::State far;
+frontier::FarQueue::State decode_far(Cursor& cursor,
+                                     std::uint64_t max_entries) {
+  frontier::FarQueue::State far;
   far.lower_bound = cursor.read_u64();
   const std::uint64_t partitions = cursor.read_u64();
   if (partitions > max_entries + 2)

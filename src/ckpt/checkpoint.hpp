@@ -7,9 +7,9 @@
 // controller (both SGD models plus the health monitor), the iteration
 // history, the effective run options, and the armed failpoints' RNG
 // streams. Because every step of the run is deterministic at any
-// thread count (the engine advances serially, and the far queue's
-// pooled bulk push preserves input order) and the failpoint streams
-// are restored alongside the algorithm state, a resumed run reproduces
+// thread count (the engine advances serially, and the far queue takes
+// each spill in input order) and the failpoint streams are restored
+// alongside the algorithm state, a resumed run reproduces
 // the uninterrupted run *exactly* — distances, parents, X1-X4
 // trajectories, and controller CSVs byte-compare.
 //

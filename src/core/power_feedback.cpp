@@ -12,33 +12,6 @@
 #include "util/stats.hpp"
 
 namespace sssp::core {
-namespace {
-
-// Times one recorded iteration at the given frequencies — the same
-// stage composition simulate_run uses.
-sim::IterationTiming time_iteration(const sim::DeviceSpec& device,
-                                    const sim::FrequencyPair& freqs,
-                                    const frontier::IterationStats& it) {
-  sim::IterationTiming timing;
-  const sim::IterationWork work = it.to_work();
-  timing.accumulate(sim::time_stage(
-      device, freqs, work.edges_relaxed,
-      static_cast<double>(work.edges_relaxed) * device.bytes_per_edge));
-  timing.accumulate(sim::time_stage(
-      device, freqs, work.x2,
-      static_cast<double>(work.x2) * device.bytes_per_vertex));
-  timing.accumulate(sim::time_stage(
-      device, freqs, work.x3,
-      static_cast<double>(work.x3) * device.bytes_per_vertex));
-  const std::uint64_t stage4 = work.x4 + work.rebalance_items;
-  timing.accumulate(sim::time_stage(
-      device, freqs, stage4,
-      static_cast<double>(stage4) * device.bytes_per_vertex));
-  timing.finalize();
-  return timing;
-}
-
-}  // namespace
 
 PowerFeedbackResult power_feedback_sssp(const graph::CsrGraph& graph,
                                         graph::VertexId source,
@@ -69,7 +42,8 @@ PowerFeedbackResult power_feedback_sssp(const graph::CsrGraph& graph,
 
   while (run.step()) {
     const frontier::IterationStats& it = run.last_iteration();
-    const sim::IterationTiming timing = time_iteration(device, freqs, it);
+    const sim::IterationTiming timing =
+        sim::time_iteration(device, freqs, it.to_work());
     double watts = sim::board_power(
         device, freqs, timing.core_utilization, timing.mem_utilization);
 

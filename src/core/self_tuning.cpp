@@ -6,12 +6,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/partitioned_far_queue.hpp"
 #include "fault/failpoint.hpp"
 #include "frontier/engine.hpp"
 #include "obs/metrics.hpp"
 #include "prof/profiler.hpp"
 #include "obs/trace.hpp"
+#include "sssp/near_far.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 #include "verify/auditor.hpp"
@@ -69,8 +69,7 @@ struct SelfTuningRun::Impl {
         graph_(&graph),
         controller(make_controller_config(graph, opts)),
         engine(graph, source, {.control = opts.control}),
-        far(static_cast<Distance>(
-            std::max(1.0, std::round(std::max(1.0, graph.mean_edge_weight()))))) {
+        far(algo::default_delta(graph)) {
     result.algorithm = "self-tuning";
     result.source = source;
   }
@@ -120,7 +119,7 @@ struct SelfTuningRun::Impl {
   const graph::CsrGraph* graph_ = nullptr;
   DeltaController controller;
   frontier::NearFarEngine engine;
-  PartitionedFarQueue far;
+  frontier::FarQueue far;
   algo::SsspResult result;
   std::vector<VertexId> refill;
   util::WallTimer controller_timer;

@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "core/controller.hpp"
-#include "core/partitioned_far_queue.hpp"
 #include "frontier/engine.hpp"
+#include "frontier/far_queue.hpp"
 #include "frontier/stats.hpp"
 #include "graph/csr.hpp"
 #include "sssp/result.hpp"
@@ -91,7 +91,7 @@ class SelfTuningRun {
   struct Snapshot {
     graph::VertexId source = 0;
     frontier::NearFarEngine::State engine;
-    PartitionedFarQueue::State far;
+    frontier::FarQueue::State far;
     DeltaController::State controller;
     std::vector<frontier::IterationStats> iterations;
     double controller_seconds = 0.0;

@@ -85,8 +85,8 @@ class NearFarEngine {
   // only live (non-stale) vertices below the current threshold.
   void inject(std::span<const graph::VertexId> vertices);
 
-  // Vertices spilled by the last bisect()/demote() calls, with their
-  // distances current at spill time. Cleared by take_spill().
+  // Vertices spilled by the bisect()/demote() calls since the last
+  // clear_spill(); their distances are current at spill time.
   std::span<const graph::VertexId> spill() const noexcept { return spill_; }
   void clear_spill() noexcept { spill_.clear(); }
 

@@ -1,11 +1,9 @@
 #include "res/budget.hpp"
 
-#include <dirent.h>
-#include <sys/resource.h>
-
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "fault/failpoint.hpp"
@@ -64,8 +62,6 @@ const char* to_string(ResourceKind kind) noexcept {
       return "memory bytes";
     case ResourceKind::kScratch:
       return "scratch bytes";
-    case ResourceKind::kFds:
-      return "fds";
   }
   return "resource";
 }
@@ -80,11 +76,8 @@ ResourceError::ResourceError(ResourceKind kind, std::string site,
 
 struct ResourceBudget::State {
   std::atomic<std::uint64_t> memory_limit{kUnlimited};
-  std::atomic<std::uint64_t> memory_used{0};
-  std::atomic<std::uint64_t> memory_peak{0};
   std::atomic<std::uint64_t> scratch_limit{kUnlimited};
   std::atomic<std::uint64_t> scratch_used{0};
-  std::atomic<std::uint64_t> fd_headroom{16};
   std::atomic<std::uint64_t> rejections{0};
 };
 
@@ -106,17 +99,6 @@ std::uint64_t ResourceBudget::memory_limit() const noexcept {
   return state().memory_limit.load(std::memory_order_relaxed);
 }
 
-std::uint64_t ResourceBudget::memory_used() const noexcept {
-  return state().memory_used.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ResourceBudget::memory_available() const noexcept {
-  const std::uint64_t limit = memory_limit();
-  if (limit == kUnlimited) return std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t used = memory_used();
-  return used >= limit ? 0 : limit - used;
-}
-
 bool ResourceBudget::injected_or_over(std::uint64_t bytes, const char* site,
                                       std::uint64_t limit,
                                       std::uint64_t used) noexcept {
@@ -125,73 +107,21 @@ bool ResourceBudget::injected_or_over(std::uint64_t bytes, const char* site,
   return bytes > limit || used > limit - bytes;
 }
 
-bool ResourceBudget::try_charge_memory(std::uint64_t bytes,
-                                       const char* site) noexcept {
-  auto& s = state();
-  const std::uint64_t limit = s.memory_limit.load(std::memory_order_relaxed);
-  // CAS loop so concurrent charges cannot jointly overshoot the limit.
-  std::uint64_t used = s.memory_used.load(std::memory_order_relaxed);
-  for (;;) {
-    if (injected_or_over(bytes, site, limit, used)) {
-      s.rejections.fetch_add(1, std::memory_order_relaxed);
-      bump("res.reject.memory");
-      return false;
-    }
-    if (s.memory_used.compare_exchange_weak(used, used + bytes,
-                                            std::memory_order_relaxed))
-      break;
-  }
-  std::uint64_t peak = s.memory_peak.load(std::memory_order_relaxed);
-  const std::uint64_t now = used + bytes;
-  while (peak < now && !s.memory_peak.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
-void ResourceBudget::charge_memory(std::uint64_t bytes, const char* site) {
-  if (!try_charge_memory(bytes, site))
-    throw ResourceError(ResourceKind::kMemory, site, bytes,
-                        memory_available());
-}
-
-void ResourceBudget::release_memory(std::uint64_t bytes) noexcept {
-  auto& s = state();
-  std::uint64_t used = s.memory_used.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t next = used >= bytes ? used - bytes : 0;
-    if (s.memory_used.compare_exchange_weak(used, next,
-                                            std::memory_order_relaxed))
-      return;
-  }
-}
-
 bool ResourceBudget::check_memory(std::uint64_t bytes,
                                   const char* site) noexcept {
-  if (!injected_or_over(bytes, site, memory_limit(), memory_used()))
-    return true;
+  if (!injected_or_over(bytes, site, memory_limit(), 0)) return true;
   state().rejections.fetch_add(1, std::memory_order_relaxed);
   bump("res.reject.memory");
   return false;
 }
 
 void ResourceBudget::require_memory(std::uint64_t bytes, const char* site) {
+  if (check_memory(bytes, site)) return;
   const std::uint64_t limit = memory_limit();
-  const std::uint64_t used = memory_used();
-  if (injected_or_over(bytes, site, limit, used)) {
-    state().rejections.fetch_add(1, std::memory_order_relaxed);
-    bump("res.reject.memory");
-    throw ResourceError(ResourceKind::kMemory, site, bytes,
-                        memory_available());
-  }
-  // Record what the check admitted so snapshots reflect the real
-  // high-water even for untracked process-lifetime objects.
-  auto& s = state();
-  std::uint64_t peak = s.memory_peak.load(std::memory_order_relaxed);
-  const std::uint64_t now = used + bytes;
-  while (peak < now && !s.memory_peak.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
+  throw ResourceError(ResourceKind::kMemory, site, bytes,
+                      limit == kUnlimited
+                          ? std::numeric_limits<std::uint64_t>::max()
+                          : limit);
 }
 
 void ResourceBudget::set_scratch_limit(std::uint64_t bytes) noexcept {
@@ -234,134 +164,16 @@ void ResourceBudget::release_scratch(std::uint64_t bytes) noexcept {
   }
 }
 
-void ResourceBudget::set_fd_headroom(std::uint64_t headroom) noexcept {
-  state().fd_headroom.store(headroom, std::memory_order_relaxed);
-}
-
-std::uint64_t ResourceBudget::fd_headroom() const noexcept {
-  return state().fd_headroom.load(std::memory_order_relaxed);
-}
-
-int ResourceBudget::open_fd_count() noexcept {
-  DIR* dir = ::opendir("/proc/self/fd");
-  if (dir == nullptr) return -1;
-  int count = 0;
-  while (const dirent* entry = ::readdir(dir)) {
-    if (entry->d_name[0] == '.') continue;
-    ++count;
-  }
-  ::closedir(dir);
-  // The opendir itself holds one descriptor while counting.
-  return count > 0 ? count - 1 : 0;
-}
-
-std::uint64_t ResourceBudget::fd_limit() noexcept {
-  struct rlimit limit{};
-  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0 ||
-      limit.rlim_cur == RLIM_INFINITY)
-    return std::numeric_limits<std::uint64_t>::max();
-  return static_cast<std::uint64_t>(limit.rlim_cur);
-}
-
-bool ResourceBudget::try_require_fds(std::uint64_t count,
-                                     const char* site) noexcept {
-  if (site_fires(site)) {
-    state().rejections.fetch_add(1, std::memory_order_relaxed);
-    bump("res.reject.fds");
-    return false;
-  }
-  const std::uint64_t limit = fd_limit();
-  if (limit == std::numeric_limits<std::uint64_t>::max()) return true;
-  const int open = open_fd_count();
-  if (open < 0) return true;  // no /proc: cannot measure, do not block
-  const std::uint64_t needed =
-      static_cast<std::uint64_t>(open) + count + fd_headroom();
-  if (needed <= limit) return true;
-  state().rejections.fetch_add(1, std::memory_order_relaxed);
-  bump("res.reject.fds");
-  return false;
-}
-
-void ResourceBudget::require_fds(std::uint64_t count, const char* site) {
-  if (try_require_fds(count, site)) return;
-  const std::uint64_t limit = fd_limit();
-  const int open = open_fd_count();
-  const std::uint64_t available =
-      (open >= 0 && limit > static_cast<std::uint64_t>(open))
-          ? limit - static_cast<std::uint64_t>(open)
-          : 0;
-  throw ResourceError(ResourceKind::kFds, site, count, available);
-}
-
-ResourceBudget::Snapshot ResourceBudget::snapshot() const noexcept {
-  const auto& s = state();
-  Snapshot snap;
-  snap.memory_limit = s.memory_limit.load(std::memory_order_relaxed);
-  snap.memory_used = s.memory_used.load(std::memory_order_relaxed);
-  snap.memory_peak = s.memory_peak.load(std::memory_order_relaxed);
-  snap.scratch_limit = s.scratch_limit.load(std::memory_order_relaxed);
-  snap.scratch_used = s.scratch_used.load(std::memory_order_relaxed);
-  snap.rejections = s.rejections.load(std::memory_order_relaxed);
-  snap.open_fds = open_fd_count();
-  return snap;
+std::uint64_t ResourceBudget::rejections() const noexcept {
+  return state().rejections.load(std::memory_order_relaxed);
 }
 
 void ResourceBudget::reset() noexcept {
   auto& s = state();
   s.memory_limit.store(kUnlimited, std::memory_order_relaxed);
-  s.memory_used.store(0, std::memory_order_relaxed);
-  s.memory_peak.store(0, std::memory_order_relaxed);
   s.scratch_limit.store(kUnlimited, std::memory_order_relaxed);
   s.scratch_used.store(0, std::memory_order_relaxed);
-  s.fd_headroom.store(16, std::memory_order_relaxed);
   s.rejections.store(0, std::memory_order_relaxed);
-}
-
-MemoryReservation::MemoryReservation(ResourceBudget& budget,
-                                     std::uint64_t bytes, const char* site)
-    : budget_(&budget), bytes_(bytes) {
-  if (!budget.try_charge_memory(bytes, site)) {
-    budget_ = nullptr;
-    throw ResourceError(ResourceKind::kMemory, site, bytes,
-                        budget.memory_available());
-  }
-}
-
-MemoryReservation::MemoryReservation(MemoryReservation&& other) noexcept
-    : budget_(other.budget_), bytes_(other.bytes_) {
-  other.budget_ = nullptr;
-  other.bytes_ = 0;
-}
-
-MemoryReservation& MemoryReservation::operator=(
-    MemoryReservation&& other) noexcept {
-  if (this != &other) {
-    release();
-    budget_ = other.budget_;
-    bytes_ = other.bytes_;
-    other.budget_ = nullptr;
-    other.bytes_ = 0;
-  }
-  return *this;
-}
-
-MemoryReservation MemoryReservation::try_reserve(ResourceBudget& budget,
-                                                 std::uint64_t bytes,
-                                                 const char* site) noexcept {
-  MemoryReservation reservation;
-  if (budget.try_charge_memory(bytes, site)) {
-    reservation.budget_ = &budget;
-    reservation.bytes_ = bytes;
-  }
-  return reservation;
-}
-
-void MemoryReservation::release() noexcept {
-  if (budget_ != nullptr) {
-    budget_->release_memory(bytes_);
-    budget_ = nullptr;
-    bytes_ = 0;
-  }
 }
 
 void configure_from_env() {
@@ -370,8 +182,6 @@ void configure_from_env() {
     budget.set_memory_limit(mb * 1024 * 1024);
   if (const std::uint64_t mb = env_mb("SSSP_SCRATCH_BUDGET_MB"); mb > 0)
     budget.set_scratch_limit(mb * 1024 * 1024);
-  if (const std::uint64_t headroom = env_mb("SSSP_FD_HEADROOM"); headroom > 0)
-    budget.set_fd_headroom(headroom);
 }
 
 void install_io_failpoints() { util::set_write_fault_hook(&io_failpoint_hook); }

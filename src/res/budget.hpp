@@ -1,22 +1,22 @@
 // Process-wide resource governance (docs/ROBUSTNESS.md, "Resource
 // budgets & exhaustion"). The big consumers — CSR graph load, the
-// frontier engine's re-injection reserve, batch-engine lanes,
-// checkpoint serialization, the serve result cache — ask the
-// ResourceBudget *before* allocating, so oversize work is rejected
-// with a structured ResourceError (tools exit kExitResourceBudget)
-// instead of dying in the OOM killer or an uncaught std::bad_alloc.
+// frontier engine's re-injection reserve, batch-engine lanes, serve
+// admission, checkpoint serialization — ask the ResourceBudget
+// *before* allocating, so oversize work is rejected with a structured
+// ResourceError (tools exit kExitResourceBudget) or degraded, instead
+// of dying in the OOM killer or an uncaught std::bad_alloc.
 //
-// Three tracked resources:
-//   memory   bytes of large-object allocations, charged/released
-//            explicitly by the instrumented sites (not a malloc hook —
-//            small allocations are deliberately untracked).
-//   scratch  bytes of scratch-disk output (checkpoints, spill files).
-//   fds      open file descriptors, measured live from /proc/self/fd
-//            against RLIMIT_NOFILE with a configurable headroom.
+// Two resources:
+//   memory   a per-request limit: each check compares one request's
+//            bytes alone against it (not a malloc hook, and nothing is
+//            held between checks — small allocations are deliberately
+//            untracked).
+//   scratch  bytes of scratch-disk output in flight (checkpoints),
+//            charged before a write and released after it.
 //
-// Every charge site doubles as a failpoint: try_charge_memory(site,…)
-// fires the failpoint named by `site` (e.g. "res.engine.alloc") plus
-// the generic "res.alloc.fail", so CI can prove each degradation path
+// Every check doubles as a failpoint: check_memory(bytes, site) fires
+// the failpoint named by `site` (e.g. "res.engine.alloc") plus the
+// generic "res.alloc.fail", so CI can prove each degradation path
 // without actually shrinking the machine. Layering: res sits between
 // fault and graph (links fault + util), which also makes it the home
 // of install_io_failpoints() — the glue that maps io.write.* failpoints
@@ -24,17 +24,16 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace sssp::res {
 
-enum class ResourceKind : std::uint8_t { kMemory = 0, kScratch = 1, kFds = 2 };
+enum class ResourceKind : std::uint8_t { kMemory = 0, kScratch = 1 };
 
 const char* to_string(ResourceKind kind) noexcept;
 
-// A budget was (or would be) exceeded. `site` names the charge site —
+// A budget was (or would be) exceeded. `site` names the check site —
 // which is also the failpoint that can force this error in tests.
 class ResourceError : public std::runtime_error {
  public:
@@ -67,24 +66,15 @@ class ResourceBudget {
   // ---- memory ----
   void set_memory_limit(std::uint64_t bytes) noexcept;
   std::uint64_t memory_limit() const noexcept;
-  std::uint64_t memory_used() const noexcept;
-  // Remaining headroom; max uint64 when unlimited.
-  std::uint64_t memory_available() const noexcept;
 
-  // Charges `bytes` against the budget. `site` is both the label in
-  // the ResourceError and the failpoint fired here. try_* returns
-  // false instead of throwing; the throwing form is for sites with no
-  // degradation path. Both bump the `res.reject` counter on refusal.
-  bool try_charge_memory(std::uint64_t bytes, const char* site) noexcept;
-  void charge_memory(std::uint64_t bytes, const char* site);
-  void release_memory(std::uint64_t bytes) noexcept;
-
-  // Check-only variant for process-lifetime objects (the resident
-  // graph): verifies headroom and records a high-water mark but does
-  // not hold a charge that would need releasing.
+  // Checks one request of `bytes` against the limit. `site` is both the
+  // label in the ResourceError and the failpoint fired here. Throws
+  // ResourceError on refusal: for sites with no degradation path (the
+  // resident graph).
   void require_memory(std::uint64_t bytes, const char* site);
-  // Non-throwing check-only form, for sites with a degradation path
-  // (skip a reserve, split a batch).
+  // Non-throwing form, for sites with a degradation path (skip a
+  // reserve, split a batch, shed a query). Both bump the `res.reject`
+  // counter on refusal.
   bool check_memory(std::uint64_t bytes, const char* site) noexcept;
 
   // ---- scratch disk ----
@@ -94,31 +84,8 @@ class ResourceBudget {
   bool try_charge_scratch(std::uint64_t bytes, const char* site) noexcept;
   void release_scratch(std::uint64_t bytes) noexcept;
 
-  // ---- file descriptors ----
-  // Minimum free descriptors (RLIMIT_NOFILE minus open count) that
-  // must remain after a site opens `count` more; default 16.
-  void set_fd_headroom(std::uint64_t headroom) noexcept;
-  std::uint64_t fd_headroom() const noexcept;
-  // Live count of open descriptors via /proc/self/fd; -1 if
-  // unavailable (non-Linux), in which case fd checks pass trivially.
-  static int open_fd_count() noexcept;
-  // Soft RLIMIT_NOFILE; max uint64 if unlimited/unknown.
-  static std::uint64_t fd_limit() noexcept;
-  // Throws ResourceError{kFds} if opening `count` descriptors would
-  // leave less than the headroom. `site` fires as a failpoint first.
-  void require_fds(std::uint64_t count, const char* site);
-  bool try_require_fds(std::uint64_t count, const char* site) noexcept;
-
-  struct Snapshot {
-    std::uint64_t memory_limit = 0;
-    std::uint64_t memory_used = 0;
-    std::uint64_t memory_peak = 0;
-    std::uint64_t scratch_limit = 0;
-    std::uint64_t scratch_used = 0;
-    std::uint64_t rejections = 0;
-    int open_fds = -1;
-  };
-  Snapshot snapshot() const noexcept;
+  // Refusals since start (or the last reset), across both resources.
+  std::uint64_t rejections() const noexcept;
 
   // Tests only: clears limits, charges, and counters.
   void reset() noexcept;
@@ -131,37 +98,9 @@ class ResourceBudget {
   State& state() const noexcept;
 };
 
-// RAII memory charge: releases on destruction. Default-constructed /
-// moved-from reservations hold nothing.
-class MemoryReservation {
- public:
-  MemoryReservation() = default;
-  // Throws ResourceError when the charge is refused.
-  MemoryReservation(ResourceBudget& budget, std::uint64_t bytes,
-                    const char* site);
-  MemoryReservation(MemoryReservation&& other) noexcept;
-  MemoryReservation& operator=(MemoryReservation&& other) noexcept;
-  MemoryReservation(const MemoryReservation&) = delete;
-  MemoryReservation& operator=(const MemoryReservation&) = delete;
-  ~MemoryReservation() { release(); }
-
-  // Non-throwing acquisition; holds nothing on refusal.
-  static MemoryReservation try_reserve(ResourceBudget& budget,
-                                       std::uint64_t bytes,
-                                       const char* site) noexcept;
-
-  bool held() const noexcept { return budget_ != nullptr; }
-  std::uint64_t bytes() const noexcept { return bytes_; }
-  void release() noexcept;
-
- private:
-  ResourceBudget* budget_ = nullptr;
-  std::uint64_t bytes_ = 0;
-};
-
-// Reads SSSP_MEM_BUDGET_MB / SSSP_SCRATCH_BUDGET_MB / SSSP_FD_HEADROOM
-// into the global budget (unset or unparsable values are ignored).
-// Tools call this before flag parsing so --mem-budget-mb can override.
+// Reads SSSP_MEM_BUDGET_MB / SSSP_SCRATCH_BUDGET_MB into the global
+// budget (unset or unparsable values are ignored). Tools call this
+// before flag parsing so --mem-budget-mb can override.
 void configure_from_env();
 
 // Installs the util/atomic_file write-fault hook that maps the

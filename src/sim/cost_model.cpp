@@ -58,4 +58,30 @@ void IterationTiming::finalize() noexcept {
   }
 }
 
+IterationTiming time_iteration(const DeviceSpec& device,
+                               const FrequencyPair& freqs,
+                               const IterationWork& work) {
+  IterationTiming iteration;
+  // Stage 1 — advance: edge-mapped over the frontier's neighbor lists.
+  iteration.accumulate(time_stage(
+      device, freqs, work.edges_relaxed,
+      static_cast<double>(work.edges_relaxed) * device.bytes_per_edge));
+  // Stage 2 — filter: vertex-mapped over the updated frontier.
+  iteration.accumulate(
+      time_stage(device, freqs, work.x2,
+                 static_cast<double>(work.x2) * device.bytes_per_vertex));
+  // Stage 3 — bisect-frontier over the filtered frontier.
+  iteration.accumulate(
+      time_stage(device, freqs, work.x3,
+                 static_cast<double>(work.x3) * device.bytes_per_vertex));
+  // Stage 4 — bisect-far-queue / rebalancer: scans the frontier plus
+  // whatever far-queue partitions the rebalance touched.
+  const std::uint64_t stage4_items = work.x4 + work.rebalance_items;
+  iteration.accumulate(time_stage(
+      device, freqs, stage4_items,
+      static_cast<double>(stage4_items) * device.bytes_per_vertex));
+  iteration.finalize();
+  return iteration;
+}
+
 }  // namespace sssp::sim

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "sim/device.hpp"
+#include "sim/workload.hpp"
 
 namespace sssp::sim {
 
@@ -45,5 +46,14 @@ struct IterationTiming {
   double weighted_core_sum() const noexcept { return weighted_core_; }
   double weighted_mem_sum() const noexcept { return weighted_mem_; }
 };
+
+// Times one recorded iteration as its four pipeline stages — advance
+// over the relaxed edges, filter over X2, bisect-frontier over X3, and
+// bisect-far-queue over X4 plus the rebalance scan — and finalizes the
+// sum. The one composition both the replay (run.hpp) and the power
+// feedback loop (core/power_feedback.hpp) charge.
+IterationTiming time_iteration(const DeviceSpec& device,
+                               const FrequencyPair& freqs,
+                               const IterationWork& work);
 
 }  // namespace sssp::sim

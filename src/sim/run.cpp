@@ -39,35 +39,7 @@ RunReport simulate_run(const DeviceSpec& device, const DvfsPolicy& policy,
   FrequencyPair freqs = live_policy->initial(device);
 
   for (const IterationWork& work : workload.iterations) {
-    IterationTiming iteration;
-
-    // Stage 1 — advance: edge-mapped over the frontier's neighbor lists.
-    const StageTiming advance =
-        time_stage(device, freqs, work.edges_relaxed,
-                   static_cast<double>(work.edges_relaxed) * device.bytes_per_edge);
-    iteration.accumulate(advance);
-
-    // Stage 2 — filter: vertex-mapped over the updated frontier.
-    const StageTiming filter =
-        time_stage(device, freqs, work.x2,
-                   static_cast<double>(work.x2) * device.bytes_per_vertex);
-    iteration.accumulate(filter);
-
-    // Stage 3 — bisect-frontier over the filtered frontier.
-    const StageTiming bisect =
-        time_stage(device, freqs, work.x3,
-                   static_cast<double>(work.x3) * device.bytes_per_vertex);
-    iteration.accumulate(bisect);
-
-    // Stage 4 — bisect-far-queue / rebalancer: scans the frontier plus
-    // whatever far-queue partitions the rebalance touched.
-    const std::uint64_t stage4_items = work.x4 + work.rebalance_items;
-    const StageTiming rebalance =
-        time_stage(device, freqs, stage4_items,
-                   static_cast<double>(stage4_items) * device.bytes_per_vertex);
-    iteration.accumulate(rebalance);
-
-    iteration.finalize();
+    const IterationTiming iteration = time_iteration(device, freqs, work);
 
     // GPU-busy portion of the iteration.
     double gpu_power = board_power(device, freqs,

@@ -1,7 +1,6 @@
 #include "sssp/batch_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -42,12 +41,6 @@ BatchResult run_batch(const graph::CsrGraph& graph,
     if (source >= graph.num_vertices())
       throw std::invalid_argument("run_batch: source out of range");
 
-  graph::Distance delta = options.delta;
-  if (delta == 0) {
-    delta = static_cast<graph::Distance>(
-        std::max(1.0, std::round(graph.mean_edge_weight())));
-  }
-
   // Memory-budget degrade: shrink K (docs/ROBUSTNESS.md, "Resource
   // budgets & exhaustion"). The dominant batch footprint is the
   // per-lane state — distances (u64) + parents (u32) per vertex per
@@ -82,8 +75,7 @@ BatchResult run_batch(const graph::CsrGraph& graph,
   util::ThreadPool::global().for_each_chunk(
       sources.size(), [&](std::size_t l, std::size_t) {
         NearFarOptions nf;
-        nf.delta = delta;
-        nf.max_iterations = options.max_iterations;
+        nf.delta = options.delta;
         nf.control = options.control;
         nf.iteration_poll = false;  // shared control: stall bookkeeping
                                     // is not thread-safe

@@ -33,19 +33,16 @@ namespace sssp::algo {
 // BatchOptions::strategy by name; nothing in the library reads it.
 enum class BatchStrategy : std::uint8_t { kIndependent };
 
-// Lane cap per run_batch call: the server's coalescing limit and
-// run_multi_source's group size. Callers with more sources run several
-// batches.
+// Lane cap per run_batch call: the server's coalescing limit. Callers
+// with more sources run several batches.
 inline constexpr std::size_t kMaxBatchLanes = 64;
 
 struct BatchOptions {
   BatchStrategy strategy = BatchStrategy::kIndependent;
-  // Phase width. 0 selects mean edge weight (the near-far default, so
-  // batched lanes walk the same phase ladder as a single-source run
-  // with default delta).
+  // Phase width, passed to every lane unchanged. 0 selects near_far's
+  // default_delta, so batched lanes walk the same phase ladder as a
+  // single-source run with default delta.
   graph::Distance delta = 0;
-  // Per-lane iteration safety valve (0 = unlimited).
-  std::size_t max_iterations = 0;
   // Cooperative cancellation shared by every lane; polled inside each
   // lane's advances. Not owned; may be null.
   util::RunControl* control = nullptr;

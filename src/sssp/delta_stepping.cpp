@@ -7,11 +7,9 @@
 namespace sssp::algo {
 namespace {
 
-graph::Distance heuristic_delta(const graph::CsrGraph& graph) {
-  graph::Weight max_weight = 1;
+graph::Distance heuristic_delta(const graph::CsrGraph& graph,
+                                graph::Weight max_weight) {
   std::size_t max_degree = 1;
-  for (const graph::Weight w : graph.weights())
-    max_weight = std::max(max_weight, w);
   for (std::size_t v = 0; v < graph.num_vertices(); ++v)
     max_degree = std::max(max_degree,
                           graph.out_degree(static_cast<graph::VertexId>(v)));
@@ -26,8 +24,11 @@ SsspResult delta_stepping(const graph::CsrGraph& graph,
   if (source >= graph.num_vertices())
     throw std::invalid_argument("delta_stepping: source out of range");
 
+  graph::Weight max_weight = 1;
+  for (const graph::Weight w : graph.weights())
+    max_weight = std::max(max_weight, w);
   const graph::Distance delta =
-      options.delta > 0 ? options.delta : heuristic_delta(graph);
+      options.delta > 0 ? options.delta : heuristic_delta(graph, max_weight);
 
   const std::size_t n = graph.num_vertices();
   std::vector<graph::Distance> dist(n, graph::kInfiniteDistance);
@@ -38,9 +39,6 @@ SsspResult delta_stepping(const graph::CsrGraph& graph,
   // Cyclic bucket array; bucket index = dist / delta mod num_buckets.
   // num_buckets only needs to exceed (max_weight / delta) + 1 so that
   // in-flight relaxations never wrap onto the active bucket.
-  graph::Weight max_weight = 1;
-  for (const graph::Weight w : graph.weights())
-    max_weight = std::max(max_weight, w);
   const std::size_t num_buckets =
       static_cast<std::size_t>(max_weight / delta) + 2;
   std::vector<std::vector<graph::VertexId>> buckets(num_buckets);

@@ -1,7 +1,5 @@
 #include "sssp/multi_source.hpp"
 
-#include <algorithm>
-#include <span>
 #include <stdexcept>
 
 #include "graph/degree_stats.hpp"
@@ -11,9 +9,7 @@ namespace sssp::algo {
 
 namespace {
 
-// Deterministic source sample shared by both run_multi_source
-// overloads: identical draws for a given seed regardless of how the
-// runs are executed afterwards.
+// Deterministic source sample: identical draws for a given seed.
 std::vector<graph::VertexId> sample_sources(const graph::CsrGraph& graph,
                                             const MultiSourceOptions& options) {
   if (graph.num_vertices() == 0)
@@ -45,28 +41,6 @@ std::vector<graph::VertexId> sample_sources(const graph::CsrGraph& graph,
   return sources;
 }
 
-void accumulate(MultiSourceSummary& summary, const SsspResult& result) {
-  summary.average_parallelism.push_back(result.average_parallelism());
-  summary.iteration_counts.push_back(result.num_iterations());
-  summary.improving_relaxations.push_back(result.improving_relaxations);
-  summary.all_iterations.insert(summary.all_iterations.end(),
-                                result.iterations.begin(),
-                                result.iterations.end());
-}
-
-void finalize(MultiSourceSummary& summary) {
-  double par_sum = 0.0, iter_sum = 0.0, relax_sum = 0.0;
-  for (std::size_t i = 0; i < summary.sources.size(); ++i) {
-    par_sum += summary.average_parallelism[i];
-    iter_sum += static_cast<double>(summary.iteration_counts[i]);
-    relax_sum += static_cast<double>(summary.improving_relaxations[i]);
-  }
-  const double k = static_cast<double>(summary.sources.size());
-  summary.mean_average_parallelism = par_sum / k;
-  summary.mean_iterations = iter_sum / k;
-  summary.mean_improving_relaxations = relax_sum / k;
-}
-
 }  // namespace
 
 MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
@@ -74,29 +48,24 @@ MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
                                     const MultiSourceOptions& options) {
   MultiSourceSummary summary;
   summary.sources = sample_sources(graph, options);
-  for (const graph::VertexId source : summary.sources)
-    accumulate(summary, runner(graph, source));
-  finalize(summary);
-  return summary;
-}
-
-MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
-                                    const BatchOptions& batch,
-                                    const MultiSourceOptions& options) {
-  MultiSourceSummary summary;
-  summary.sources = sample_sources(graph, options);
-  for (std::size_t begin = 0; begin < summary.sources.size();
-       begin += kMaxBatchLanes) {
-    const std::size_t count =
-        std::min(kMaxBatchLanes, summary.sources.size() - begin);
-    const auto result = run_batch(
-        graph,
-        std::span<const graph::VertexId>(summary.sources).subspan(begin,
-                                                                  count),
-        batch);
-    for (const SsspResult& lane : result.lanes) accumulate(summary, lane);
+  double par_sum = 0.0, iter_sum = 0.0, relax_sum = 0.0;
+  for (const graph::VertexId source : summary.sources) {
+    const SsspResult result = runner(graph, source);
+    const double parallelism = result.average_parallelism();
+    summary.average_parallelism.push_back(parallelism);
+    summary.iteration_counts.push_back(result.num_iterations());
+    summary.improving_relaxations.push_back(result.improving_relaxations);
+    summary.all_iterations.insert(summary.all_iterations.end(),
+                                  result.iterations.begin(),
+                                  result.iterations.end());
+    par_sum += parallelism;
+    iter_sum += static_cast<double>(result.num_iterations());
+    relax_sum += static_cast<double>(result.improving_relaxations);
   }
-  finalize(summary);
+  const double k = static_cast<double>(summary.sources.size());
+  summary.mean_average_parallelism = par_sum / k;
+  summary.mean_iterations = iter_sum / k;
+  summary.mean_improving_relaxations = relax_sum / k;
   return summary;
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "sssp/batch_engine.hpp"
 #include "sssp/result.hpp"
 
 namespace sssp::algo {
@@ -47,15 +46,6 @@ using SsspRunner =
 // or when no acceptable source can be found.
 MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
                                     const SsspRunner& runner,
-                                    const MultiSourceOptions& options = {});
-
-// Batched variant: same deterministic source sample (identical draws
-// for a given seed), but the runs go through the batched multi-source
-// engine (batch_engine.hpp) in groups of up to kMaxBatchLanes instead
-// of one solve per source. Per-source aggregates are taken from each
-// lane's SsspResult, which carries that source's own iteration trace.
-MultiSourceSummary run_multi_source(const graph::CsrGraph& graph,
-                                    const BatchOptions& batch,
                                     const MultiSourceOptions& options = {});
 
 }  // namespace sssp::algo

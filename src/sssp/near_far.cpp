@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "frontier/engine.hpp"
@@ -10,16 +9,19 @@
 
 namespace sssp::algo {
 
+graph::Distance default_delta(const graph::CsrGraph& graph) {
+  return static_cast<graph::Distance>(
+      std::max(1.0, std::round(graph.mean_edge_weight())));
+}
+
 SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
                     const NearFarOptions& options) {
-  graph::Distance delta = options.delta;
-  if (delta == 0) {
-    delta = static_cast<graph::Distance>(
-        std::max(1.0, std::round(graph.mean_edge_weight())));
-  }
+  const graph::Distance delta =
+      options.delta != 0 ? options.delta : default_delta(graph);
 
   frontier::NearFarEngine engine(graph, source, {.control = options.control});
-  frontier::FarQueue far;
+  // One MAX partition: every pull scans the whole queue (Davidson et al.).
+  frontier::FarQueue far(graph::kInfiniteDistance);
 
   SsspResult result;
   result.algorithm = "near-far";
@@ -61,7 +63,7 @@ SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
         phase = static_cast<std::uint64_t>(next_live / delta);
         threshold = static_cast<graph::Distance>(phase + 1) * delta;
         refill.clear();
-        stats.rebalance_items += far.drain_below(threshold, engine.distances(), refill);
+        stats.rebalance_items += far.pull_below(threshold, engine.distances(), refill);
         engine.inject(refill);
       } else {
         far.clear();  // everything stale: drop it

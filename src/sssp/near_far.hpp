@@ -10,7 +10,7 @@
 namespace sssp::algo {
 
 struct NearFarOptions {
-  // Phase width. 0 selects mean edge weight (a common rule of thumb).
+  // Phase width. 0 selects default_delta(graph).
   graph::Distance delta = 0;
   // Safety valve for pathological inputs (0 = unlimited).
   std::size_t max_iterations = 0;
@@ -25,6 +25,11 @@ struct NearFarOptions {
   // rely on the engine's should_abort() polls, which are atomic.
   bool iteration_poll = true;
 };
+
+// The default phase width: the mean edge weight rounded, at least 1 (a
+// common rule of thumb). Self-tuning seeds its far queue's first
+// boundary with the same value.
+graph::Distance default_delta(const graph::CsrGraph& graph);
 
 SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
                     const NearFarOptions& options = {});

@@ -64,6 +64,23 @@ TEST_F(PowerFeedbackTest, TracesHaveOneEntryPerIteration) {
   EXPECT_GT(result.report.total_seconds, 0.0);
 }
 
+// The loop's per-iteration reading is the replay's own per-iteration
+// power: both time an iteration with sim::time_iteration, and the
+// governor walks the same frequencies in both.
+TEST_F(PowerFeedbackTest, FeedbackWattsMatchReplayPerIteration) {
+  PowerFeedbackOptions options;
+  options.power_budget_w = 6.0;
+  const auto result =
+      power_feedback_sssp(graph_, source_, device_, governor_, options);
+  const sim::RunReport replay = sim::simulate_run(
+      device_, governor_, result.sssp.to_workload("power-feedback"));
+  ASSERT_EQ(replay.iterations.size(), result.power_trace_w.size());
+  ASSERT_FALSE(replay.iterations.empty());
+  for (std::size_t i = 0; i < replay.iterations.size(); ++i)
+    EXPECT_EQ(result.power_trace_w[i], replay.iterations[i].average_power_w)
+        << "iteration " << i;
+}
+
 TEST_F(PowerFeedbackTest, TightBudgetLowersPowerVersusLooseBudget) {
   PowerFeedbackOptions tight;
   tight.power_budget_w = 4.4;  // just above idle

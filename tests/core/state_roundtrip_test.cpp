@@ -13,7 +13,7 @@
 #include "core/adaptive_sgd.hpp"
 #include "core/controller.hpp"
 #include "core/controller_health.hpp"
-#include "core/partitioned_far_queue.hpp"
+#include "frontier/far_queue.hpp"
 #include "obs/metrics.hpp"
 
 namespace sssp::core {
@@ -191,24 +191,24 @@ TEST(HealthState, RoundTripAndRejects) {
   EXPECT_THROW(restored.restore(bad), std::invalid_argument);
 }
 
-PartitionedFarQueue populated_queue() {
-  PartitionedFarQueue q(10);
+frontier::FarQueue populated_queue() {
+  frontier::FarQueue q(10);
   for (graph::VertexId v = 0; v < 200; ++v)
     q.push(v, 1 + (static_cast<graph::Distance>(v) * 7919) % 400);
   return q;
 }
 
 TEST(FarQueueState, SaveLoadSaveIsStable) {
-  const PartitionedFarQueue original = populated_queue();
-  const PartitionedFarQueue::State first = original.state();
-  PartitionedFarQueue restored(10);
-  restored.restore(PartitionedFarQueue::State(first));
+  const frontier::FarQueue original = populated_queue();
+  const frontier::FarQueue::State first = original.state();
+  frontier::FarQueue restored(10);
+  restored.restore(frontier::FarQueue::State(first));
   EXPECT_EQ(restored.state(), first);
 }
 
 TEST(FarQueueState, RestoredQueueBehavesIdentically) {
-  PartitionedFarQueue a = populated_queue();
-  PartitionedFarQueue b(99);  // seed bound is overwritten by restore
+  frontier::FarQueue a = populated_queue();
+  frontier::FarQueue b(99);  // seed bound is overwritten by restore
   b.restore(a.state());
   std::vector<graph::Distance> dist(200);
   for (graph::VertexId v = 0; v < 200; ++v)
@@ -222,23 +222,23 @@ TEST(FarQueueState, RestoredQueueBehavesIdentically) {
 
 TEST(FarQueueState, RestoreRejectsMalformedSnapshots) {
   auto reject = [](auto mutate) {
-    PartitionedFarQueue::State bad = populated_queue().state();
+    frontier::FarQueue::State bad = populated_queue().state();
     mutate(bad);
-    PartitionedFarQueue victim(10);
+    frontier::FarQueue victim(10);
     EXPECT_THROW(victim.restore(std::move(bad)), std::invalid_argument);
   };
   // Boundary order violated.
-  reject([](PartitionedFarQueue::State& s) {
+  reject([](frontier::FarQueue::State& s) {
     if (s.bounds.size() >= 2) std::swap(s.bounds.front(), s.bounds.back());
   });
   // Shape mismatch between bounds and entry buckets.
-  reject([](PartitionedFarQueue::State& s) { s.entries.emplace_back(); });
+  reject([](frontier::FarQueue::State& s) { s.entries.emplace_back(); });
   // An entry above its partition's upper bound.
-  reject([](PartitionedFarQueue::State& s) {
+  reject([](frontier::FarQueue::State& s) {
     s.entries.front().push_back({0, s.bounds.front() + 1});
   });
   // No partitions at all (the queue invariant keeps a final MAX bucket).
-  reject([](PartitionedFarQueue::State& s) {
+  reject([](frontier::FarQueue::State& s) {
     s.bounds.clear();
     s.entries.clear();
   });

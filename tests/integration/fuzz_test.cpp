@@ -5,9 +5,10 @@
 //    re-pull, and jump erratically. This is the invariant that makes
 //    the whole self-tuning design safe (DESIGN.md Section 5).
 //
-// 2. The partitioned far queue is observably equivalent to the flat far
-//    queue under random push/pull interleavings: the same vertices come
-//    out for the same thresholds, regardless of boundary maintenance.
+// 2. The partitioned far queue is observably equivalent to a flat
+//    vector model under random push/pull interleavings: the same
+//    vertices come out for the same thresholds, regardless of boundary
+//    maintenance.
 // 3. Control-plane fault injection: with failpoints feeding NaN/Inf
 //    into the controller's models and stats pipeline, the self-tuning
 //    solver still produces exact Dijkstra distances (the engine
@@ -20,7 +21,6 @@
 #include <set>
 #include <string>
 
-#include "core/partitioned_far_queue.hpp"
 #include "core/self_tuning.hpp"
 #include "fault/failpoint.hpp"
 #include "frontier/engine.hpp"
@@ -47,7 +47,7 @@ TEST_P(RandomPolicyFuzz, EngineExactUnderAdversarialThresholds) {
   const auto expected = algo::dijkstra_distances(g, source);
 
   frontier::NearFarEngine engine(g, source);
-  frontier::FarQueue far;
+  frontier::FarQueue far(kInfiniteDistance);
   std::vector<VertexId> refill;
   Distance threshold = 1 + rng.next_below(50);
 
@@ -91,7 +91,7 @@ TEST_P(RandomPolicyFuzz, EngineExactUnderAdversarialThresholds) {
       } else {
         threshold = std::max(threshold, next_live + 1 + rng.next_below(200));
         refill.clear();
-        far.drain_below(threshold, engine.distances(), refill);
+        far.pull_below(threshold, engine.distances(), refill);
         engine.inject(refill);
       }
     }
@@ -100,6 +100,30 @@ TEST_P(RandomPolicyFuzz, EngineExactUnderAdversarialThresholds) {
   EXPECT_EQ(algo::count_distance_mismatches(engine.distances(), expected), 0u)
       << "seed " << seed;
 }
+
+// The oracle for the partitioned queue: a flat vector of entries that
+// every pull scans in full, dropping stale ones.
+struct FlatQueueModel {
+  std::vector<frontier::FarEntry> entries;
+
+  void push(VertexId v, Distance d) { entries.push_back({v, d}); }
+
+  std::vector<VertexId> pull_below(Distance threshold,
+                                   const std::vector<Distance>& dist) {
+    std::vector<VertexId> pulled;
+    std::size_t keep = 0;
+    for (const frontier::FarEntry& entry : entries) {
+      if (dist[entry.vertex] != entry.distance) continue;  // stale
+      if (entry.distance < threshold) {
+        pulled.push_back(entry.vertex);
+      } else {
+        entries[keep++] = entry;
+      }
+    }
+    entries.resize(keep);
+    return pulled;
+  }
+};
 
 TEST_P(RandomPolicyFuzz, PartitionedQueueMatchesFlatQueue) {
   const std::uint64_t seed = GetParam();
@@ -111,8 +135,8 @@ TEST_P(RandomPolicyFuzz, PartitionedQueueMatchesFlatQueue) {
   std::vector<Distance> dist(n);
   for (auto& d : dist) d = 100 + rng.next_below(100000);
 
-  core::PartitionedFarQueue partitioned(1 + rng.next_below(5000));
-  frontier::FarQueue flat;
+  frontier::FarQueue partitioned(1 + rng.next_below(5000));
+  FlatQueueModel flat;
 
   for (int round = 0; round < 200; ++round) {
     const auto op = rng.next_below(10);
@@ -129,9 +153,9 @@ TEST_P(RandomPolicyFuzz, PartitionedQueueMatchesFlatQueue) {
       }
     } else if (op < 9) {  // pull below a random threshold
       const Distance threshold = 1 + rng.next_below(120000);
-      std::vector<VertexId> from_partitioned, from_flat;
+      std::vector<VertexId> from_partitioned;
       partitioned.pull_below(threshold, dist, from_partitioned);
-      flat.drain_below(threshold, dist, from_flat);
+      std::vector<VertexId> from_flat = flat.pull_below(threshold, dist);
       std::sort(from_partitioned.begin(), from_partitioned.end());
       std::sort(from_flat.begin(), from_flat.end());
       EXPECT_EQ(from_partitioned, from_flat) << "round " << round;
@@ -144,9 +168,9 @@ TEST_P(RandomPolicyFuzz, PartitionedQueueMatchesFlatQueue) {
   }
 
   // Final drain: identical live content.
-  std::vector<VertexId> from_partitioned, from_flat;
+  std::vector<VertexId> from_partitioned;
   partitioned.pull_below(kInfiniteDistance, dist, from_partitioned);
-  flat.drain_below(kInfiniteDistance, dist, from_flat);
+  std::vector<VertexId> from_flat = flat.pull_below(kInfiniteDistance, dist);
   std::sort(from_partitioned.begin(), from_partitioned.end());
   std::sort(from_flat.begin(), from_flat.end());
   EXPECT_EQ(from_partitioned, from_flat);

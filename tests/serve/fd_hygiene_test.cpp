@@ -5,6 +5,8 @@
 // /proc/self/fd to its starting population. A leaked descriptor per
 // connection is how long-lived servers die of EMFILE in production.
 #include <gtest/gtest.h>
+#include <dirent.h>
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,7 +17,6 @@
 #include <thread>
 
 #include "fault/failpoint.hpp"
-#include "res/budget.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -26,7 +27,31 @@ namespace {
 
 using algo::testing::random_graph;
 
-int fd_count() { return res::ResourceBudget::open_fd_count(); }
+// Live count of open descriptors via /proc/self/fd; -1 if unreadable.
+int fd_count() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  int count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    ++count;
+  }
+  ::closedir(dir);
+  // The opendir itself holds one descriptor while counting.
+  return count > 0 ? count - 1 : 0;
+}
+
+// The probe every test below rests on must see a descriptor open and
+// close, or fd-neutrality would pass vacuously.
+TEST(FdHygieneTest, OpenFdCountSeesNewDescriptors) {
+  const int before = fd_count();
+  ASSERT_GT(before, 0) << "/proc/self/fd should be readable on Linux";
+  const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(fd_count(), before + 1);
+  ::close(fd);
+  EXPECT_EQ(fd_count(), before);
+}
 
 TEST(FdHygieneTest, ConnectQueryDrainIsFdNeutral) {
   const auto g = random_graph(256, 4.0, 100, 1);

@@ -78,41 +78,5 @@ TEST(MultiSource, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-// The batched overload must draw the identical source sample (the seed
-// contract) and agree with the per-source runner on the per-source
-// improving-relaxation-independent aggregates that only depend on the
-// distances (reachability via iteration presence is too loose — compare
-// sources and result counts, then spot-check one lane's distances).
-TEST(MultiSource, BatchedOverloadSamplesIdenticalSources) {
-  const auto g = testing::random_graph(2000, 5.0, 40, 21);
-  MultiSourceOptions options;
-  options.num_sources = 6;
-  options.seed = 123;
-
-  const auto sequential = run_multi_source(g, near_far_runner(0), options);
-  const auto batched = run_multi_source(g, BatchOptions{}, options);
-  EXPECT_EQ(batched.sources, sequential.sources);
-  EXPECT_EQ(batched.average_parallelism.size(), 6u);
-  EXPECT_EQ(batched.iteration_counts.size(), 6u);
-  EXPECT_GT(batched.mean_iterations, 0.0);
-  EXPECT_GT(batched.mean_improving_relaxations, 0.0);
-}
-
-// Batch lanes run the very same serial near-far pipeline per source, so
-// the whole summary matches the runner overload exactly.
-TEST(MultiSource, BatchedIndependentMatchesRunnerAggregates) {
-  const auto g = testing::random_graph(1500, 4.0, 25, 33);
-  MultiSourceOptions options;
-  options.num_sources = 5;
-  options.seed = 7;
-
-  const auto sequential = run_multi_source(g, near_far_runner(0), options);
-  const auto batched = run_multi_source(g, BatchOptions{}, options);
-  EXPECT_EQ(batched.sources, sequential.sources);
-  EXPECT_EQ(batched.iteration_counts, sequential.iteration_counts);
-  EXPECT_EQ(batched.improving_relaxations, sequential.improving_relaxations);
-  EXPECT_EQ(batched.mean_iterations, sequential.mean_iterations);
-}
-
 }  // namespace
 }  // namespace sssp::algo

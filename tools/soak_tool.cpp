@@ -464,7 +464,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(stats.exhaustion_clean_failures),
           static_cast<unsigned long long>(stats.exhaustion_disk_full),
           static_cast<unsigned long long>(
-              res::ResourceBudget::global().snapshot().rejections));
+              res::ResourceBudget::global().rejections()));
     }
 
     if (const auto fpath = flags.get_string("flight-out"); !fpath.empty()) {

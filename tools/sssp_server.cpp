@@ -450,7 +450,6 @@ int main(int argc, char** argv) {
           "--scrub-interval-ms", flags.get_string("scrub-interval-ms"),
           "--mem-budget-mb", flags.get_string("mem-budget-mb"),
           "--scratch-budget-mb", flags.get_string("scratch-budget-mb"),
-          "--fd-headroom", flags.get_string("fd-headroom"),
       };
       if (const auto spec = flags.get_string("failpoint"); !spec.empty()) {
         sup.worker_command.push_back("--failpoint");

@@ -441,9 +441,6 @@ inline void define_resource_flags(util::Flags& flags) {
   flags.define("scratch-budget-mb", "0",
                "scratch-disk budget for checkpoints/spills in MiB "
                "(0 = unlimited; also $SSSP_SCRATCH_BUDGET_MB)");
-  flags.define("fd-headroom", "0",
-               "minimum free file descriptors to preserve under "
-               "RLIMIT_NOFILE (0 = default 16; also $SSSP_FD_HEADROOM)");
 }
 
 // Applies env defaults then flag overrides to the global budget. Call
@@ -459,10 +456,6 @@ inline void apply_resource_flags(const util::Flags& flags) {
     budget.set_scratch_limit(static_cast<std::uint64_t>(mb) * 1024 * 1024);
   else if (mb < 0)
     throw util::FlagError("--scratch-budget-mb must be >= 0");
-  if (const std::int64_t headroom = flags.get_int("fd-headroom"); headroom > 0)
-    budget.set_fd_headroom(static_cast<std::uint64_t>(headroom));
-  else if (headroom < 0)
-    throw util::FlagError("--fd-headroom must be >= 0");
 }
 
 // Registers the checkpoint/resume flags. Call before handle_help().
