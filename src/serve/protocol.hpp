@@ -67,8 +67,11 @@ struct Request {
   // (bounded by kMaxTargets).
   std::vector<graph::VertexId> targets;
   // Algorithm knobs (validated finite; part of the cache key).
-  double set_point = 0.0;   // self-tuning only; 0 = server default
-  std::uint64_t delta = 0;  // delta-stepping/near-far; 0 = mean weight
+  double set_point = 0.0;  // self-tuning only; 0 = server default
+  // Delta-stepping's bucket width and near-far's phase width (part of
+  // the coalescing key). 0 = the rounded mean weight for near-far and
+  // max weight / max out-degree for delta-stepping.
+  std::uint64_t delta = 0;
 };
 
 // Upper bound on per-request target lists: a request asking for a

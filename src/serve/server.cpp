@@ -443,7 +443,8 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
       } else if (algorithm == "delta-stepping") {
         results.push_back(algo::delta_stepping(
             graph_, sources.front(),
-            {.delta = static_cast<graph::Distance>(head.delta)}));
+            {.delta = static_cast<graph::Distance>(head.delta),
+             .control = &control}));
       } else if (algorithm == "self-tuning") {
         core::SelfTuningOptions st;
         st.set_point = set_point;
@@ -572,7 +573,7 @@ void Server::drain() {
                                   "shed by drain deadline", true));
       }
       // ...and interrupt in-flight queries through their RunControls
-      // (cooperative: dijkstra/delta-stepping finish on their own).
+      // (cooperative: dijkstra, the reference, finishes on its own).
       for (auto& slot : active_controls_)
         if (util::RunControl* control =
                 slot.load(std::memory_order_acquire);

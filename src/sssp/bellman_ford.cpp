@@ -4,9 +4,10 @@
 
 namespace sssp::algo {
 
-SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source) {
-  SsspResult result =
-      near_far(graph, source, {.delta = graph::kInfiniteDistance});
+SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source,
+                        util::RunControl* control) {
+  SsspResult result = near_far(
+      graph, source, {.delta = graph::kInfiniteDistance, .control = control});
   result.algorithm = "bellman-ford";
   return result;
 }

@@ -7,9 +7,13 @@
 
 #include "graph/csr.hpp"
 #include "sssp/result.hpp"
+#include "util/run_control.hpp"
 
 namespace sssp::algo {
 
-SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source);
+// `control`, when set, is polled as near_far polls it: a stop request
+// aborts the run with util::StopRequested. Not owned.
+SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source,
+                        util::RunControl* control = nullptr);
 
 }  // namespace sssp::algo

@@ -4,6 +4,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "frontier/engine.hpp"
+#include "frontier/far_queue.hpp"
+
 namespace sssp::algo {
 namespace {
 
@@ -30,119 +33,77 @@ SsspResult delta_stepping(const graph::CsrGraph& graph,
   const graph::Distance delta =
       options.delta > 0 ? options.delta : heuristic_delta(graph, max_weight);
 
-  const std::size_t n = graph.num_vertices();
-  std::vector<graph::Distance> dist(n, graph::kInfiniteDistance);
-  std::vector<graph::VertexId> parent(n, graph::kInvalidVertex);
-  dist[source] = 0;
-  parent[source] = source;
+  frontier::NearFarEngine engine(graph, source, {.control = options.control});
 
-  // Cyclic bucket array; bucket index = dist / delta mod num_buckets.
-  // num_buckets only needs to exceed (max_weight / delta) + 1 so that
-  // in-flight relaxations never wrap onto the active bucket.
-  const std::size_t num_buckets =
-      static_cast<std::size_t>(max_weight / delta) + 2;
-  std::vector<std::vector<graph::VertexId>> buckets(num_buckets);
-
-  auto bucket_of = [&](graph::Distance d) {
-    return static_cast<std::size_t>((d / delta) % num_buckets);
-  };
-  buckets[bucket_of(0)].push_back(source);
+  // Cyclic bucket ring; bucket index = dist / delta mod ring. A spill
+  // lies less than max_weight past the current bucket's upper end, so
+  // at most max_weight / delta + 1 buckets ahead of it: a ring of
+  // max_weight / delta + 2 never wraps onto a bucket still in use.
+  const std::size_t ring = static_cast<std::size_t>(max_weight / delta) + 2;
+  std::vector<std::vector<frontier::FarEntry>> buckets(ring);
+  std::size_t ring_entries = 0;
 
   SsspResult result;
   result.algorithm = "delta-stepping";
   result.source = source;
 
-  std::size_t current = bucket_of(0);
-  std::uint64_t base_bucket = 0;  // absolute index of `current`
-  std::size_t remaining = 1;      // total vertices across buckets (upper bound)
-
-  std::vector<graph::VertexId> deleted;  // settled-this-phase set
-  while (remaining > 0) {
-    // Find next non-empty bucket (cyclic scan).
-    std::size_t scanned = 0;
-    while (buckets[current].empty() && scanned < num_buckets) {
-      current = (current + 1) % num_buckets;
-      ++base_bucket;
-      ++scanned;
-    }
-    if (buckets[current].empty()) break;
-
-    const graph::Distance phase_lo =
-        static_cast<graph::Distance>(base_bucket) * delta;
-    const graph::Distance phase_hi = phase_lo + delta;
-
-    deleted.clear();
-    // Inner loop: relax light edges (w < delta) until the bucket stops
-    // refilling; collect unique settled vertices in `deleted`.
-    while (!buckets[current].empty()) {
-      std::vector<graph::VertexId> request =
-          std::move(buckets[current]);
-      buckets[current].clear();
-
-      frontier::IterationStats stats;
-      stats.delta = static_cast<double>(delta);
-      std::uint64_t processed = 0;
-      for (const graph::VertexId u : request) {
-        const graph::Distance du = dist[u];
-        if (du < phase_lo || du >= phase_hi) continue;  // stale or moved on
-        ++processed;
-        deleted.push_back(u);
-        const auto neighbors = graph.neighbors(u);
-        const auto weights = graph.weights_of(u);
-        for (std::size_t i = 0; i < neighbors.size(); ++i) {
-          if (weights[i] >= delta) continue;  // heavy: postponed
-          ++stats.x2;
-          const graph::VertexId v = neighbors[i];
-          const graph::Distance nd = du + weights[i];
-          if (nd < dist[v]) {
-            dist[v] = nd;
-            parent[v] = u;
-            ++stats.improving_relaxations;
-            buckets[bucket_of(nd)].push_back(v);
-            ++remaining;
-          }
-        }
-      }
-      stats.x1 = processed;
-      stats.x3 = stats.improving_relaxations;
-      stats.x4 = buckets[current].size();
-      result.improving_relaxations += stats.improving_relaxations;
-      if (processed > 0) result.iterations.push_back(stats);
-      remaining = remaining > request.size() ? remaining - request.size() : 0;
+  // Absolute index of the current bucket: the frontier holds vertices
+  // with distance in [phase * delta, (phase + 1) * delta).
+  std::uint64_t phase = 0;
+  std::vector<graph::VertexId> refill;
+  while (!engine.frontier_empty()) {
+    if (options.control != nullptr) {
+      const util::StopReason reason = options.control->poll_iteration(
+          engine.total_improving_relaxations());
+      if (reason != util::StopReason::kNone) throw util::StopRequested(reason);
     }
 
-    // Phase end: relax heavy edges of everything settled this phase.
-    frontier::IterationStats heavy_stats;
-    heavy_stats.delta = static_cast<double>(delta);
-    heavy_stats.x1 = deleted.size();
-    for (const graph::VertexId u : deleted) {
-      const graph::Distance du = dist[u];
-      if (du < phase_lo || du >= phase_hi) continue;
-      const auto neighbors = graph.neighbors(u);
-      const auto weights = graph.weights_of(u);
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        if (weights[i] < delta) continue;
-        ++heavy_stats.x2;
-        const graph::VertexId v = neighbors[i];
-        const graph::Distance nd = du + weights[i];
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          parent[v] = u;
-          ++heavy_stats.improving_relaxations;
-          buckets[bucket_of(nd)].push_back(v);
-          ++remaining;
-        }
-      }
+    frontier::IterationStats stats;
+    stats.delta = static_cast<double>(delta);
+
+    const auto advance = engine.advance_and_filter();
+    stats.x1 = advance.x1;
+    stats.x2 = advance.x2;
+    stats.x3 = advance.x3;
+    stats.improving_relaxations = advance.improving_relaxations;
+
+    const graph::Distance threshold =
+        phase + 1 > graph::kInfiniteDistance / delta
+            ? graph::kInfiniteDistance
+            : static_cast<graph::Distance>(phase + 1) * delta;
+    stats.x4 = engine.bisect(threshold);
+    for (const graph::VertexId v : engine.spill()) {
+      const graph::Distance d = engine.distance(v);
+      buckets[static_cast<std::size_t>((d / delta) % ring)].push_back({v, d});
     }
-    if (heavy_stats.x2 > 0) {
-      heavy_stats.x3 = heavy_stats.improving_relaxations;
-      result.improving_relaxations += heavy_stats.improving_relaxations;
-      result.iterations.push_back(heavy_stats);
+    ring_entries += engine.spill().size();
+    engine.clear_spill();
+
+    // The current bucket is exhausted: move to the next non-empty one
+    // and inject its live entries (an entry is stale once its vertex
+    // improved past the distance it was spilled at).
+    while (engine.frontier_empty() && ring_entries > 0) {
+      do {
+        ++phase;
+      } while (buckets[phase % ring].empty());
+      std::vector<frontier::FarEntry>& bucket = buckets[phase % ring];
+      stats.rebalance_items += bucket.size();
+      ring_entries -= bucket.size();
+      refill.clear();
+      for (const frontier::FarEntry& entry : bucket)
+        if (engine.distance(entry.vertex) == entry.distance)
+          refill.push_back(entry.vertex);
+      bucket.clear();
+      engine.inject(refill);
     }
+
+    stats.far_queue_size = ring_entries;
+    result.iterations.push_back(stats);
   }
 
-  result.distances = std::move(dist);
-  result.parents = std::move(parent);
+  result.improving_relaxations = engine.total_improving_relaxations();
+  result.distances = engine.distances();
+  result.parents = engine.parents();
   return result;
 }
 

@@ -1,10 +1,15 @@
-// Classic delta-stepping (Meyer & Sanders, 2003) with light/heavy edge
-// splitting — the algorithm the near-far method derives from, included
-// as a second baseline and for cross-validation.
+// Delta-stepping (Meyer & Sanders, 2003) — the algorithm the near-far
+// method derives from, included as a second baseline and for
+// cross-validation. It runs the near-far engine one bucket of width
+// delta at a time and keeps its far work in a cyclic ring of buckets,
+// so moving to the next bucket scans only that bucket's entries.
+// Unlike Meyer & Sanders' formulation it does not split light from
+// heavy edges: a frontier vertex relaxes all its out-edges at once.
 #pragma once
 
 #include "graph/csr.hpp"
 #include "sssp/result.hpp"
+#include "util/run_control.hpp"
 
 namespace sssp::algo {
 
@@ -12,6 +17,10 @@ struct DeltaSteppingOptions {
   // Bucket width. 0 selects the Meyer-Sanders heuristic
   // delta = max(1, max_weight / max_degree).
   graph::Distance delta = 0;
+  // Cooperative cancellation, polled each iteration and inside the
+  // engine stages; a stop request aborts the run with
+  // util::StopRequested. Not owned; may be null.
+  util::RunControl* control = nullptr;
 };
 
 SsspResult delta_stepping(const graph::CsrGraph& graph,

@@ -33,8 +33,6 @@ SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
 
   std::vector<graph::VertexId> refill;
   while (!engine.frontier_empty()) {
-    if (options.max_iterations && result.iterations.size() >= options.max_iterations)
-      break;
     if (options.control != nullptr && options.iteration_poll) {
       const util::StopReason reason = options.control->poll_iteration(
           engine.total_improving_relaxations());

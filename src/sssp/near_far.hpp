@@ -12,8 +12,6 @@ namespace sssp::algo {
 struct NearFarOptions {
   // Phase width. 0 selects default_delta(graph).
   graph::Distance delta = 0;
-  // Safety valve for pathological inputs (0 = unlimited).
-  std::size_t max_iterations = 0;
   // Cooperative cancellation (deadline / signal / stall): polled each
   // iteration and inside the engine stages; a stop request aborts the
   // run with util::StopRequested. Not owned; may be null.

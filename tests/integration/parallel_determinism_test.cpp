@@ -1,10 +1,11 @@
-// End-to-end determinism across thread counts: the full self-tuning and
-// near-far drivers must produce bit-identical distances, parent trees,
-// and per-iteration statistics (X1/X2/X3/X4, improving relaxations,
-// rebalance work, far-queue sizes, delta trajectory) whether the global
-// pool has 1, 2, 4, or 8 threads — the contract that makes recorded
-// workloads machine-independent. The engine advances serially; the
-// pool still runs the far queue's bulk push on large spills.
+// End-to-end determinism across thread counts: the full self-tuning,
+// near-far and delta-stepping drivers must produce bit-identical
+// distances, parent trees, and per-iteration statistics (X1/X2/X3/X4,
+// improving relaxations, rebalance work, far-queue sizes, delta
+// trajectory) whether the global pool has 1, 2, 4, or 8 threads — the
+// contract that makes recorded workloads machine-independent. Every
+// stage of a single run, the far queue's bulk push included, runs on
+// the calling thread; the pool size must not leak into it.
 // A failpoint-armed run rides along: fault-injection campaigns must be
 // equally reproducible at any thread count.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "graph/degree_stats.hpp"
 #include "graph/rmat.hpp"
 #include "graph/road.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "sssp/near_far.hpp"
 #include "sssp/result.hpp"
 #include "util/thread_pool.hpp"
@@ -121,6 +123,20 @@ TEST(ParallelDeterminism, NearFarOnRmat) {
   const auto src = graph::max_degree_vertex(g);
   expect_identical_at_every_thread_count(
       [&] { return algo::near_far(g, src); }, "near-far/rmat");
+}
+
+TEST(ParallelDeterminism, DeltaSteppingOnRoad) {
+  const auto& g = road();
+  const auto src = graph::max_degree_vertex(g);
+  expect_identical_at_every_thread_count(
+      [&] { return algo::delta_stepping(g, src); }, "delta-stepping/road");
+}
+
+TEST(ParallelDeterminism, DeltaSteppingOnRmat) {
+  const auto& g = rmat();
+  const auto src = graph::max_degree_vertex(g);
+  expect_identical_at_every_thread_count(
+      [&] { return algo::delta_stepping(g, src); }, "delta-stepping/rmat");
 }
 
 TEST(ParallelDeterminism, FailpointArmedRunIsReproducible) {

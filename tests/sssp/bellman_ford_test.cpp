@@ -62,5 +62,12 @@ TEST(BellmanFord, OutOfRangeSourceThrows) {
   EXPECT_THROW(bellman_ford(g, 9), std::invalid_argument);
 }
 
+TEST(BellmanFord, StopRequestAbortsTheRun) {
+  const auto g = testing::ring(64);
+  util::RunControl control;
+  control.request_stop(util::StopReason::kInterrupt);
+  EXPECT_THROW(bellman_ford(g, 0, &control), util::StopRequested);
+}
+
 }  // namespace
 }  // namespace sssp::algo

@@ -26,6 +26,63 @@ TEST(DeltaStepping, OutOfRangeSourceThrows) {
   EXPECT_THROW(delta_stepping(g, 99), std::invalid_argument);
 }
 
+TEST(DeltaStepping, StopRequestAbortsTheRun) {
+  const auto g = testing::ring(64);
+  util::RunControl control;
+  control.request_stop(util::StopReason::kInterrupt);
+  EXPECT_THROW(delta_stepping(g, 0, {.delta = 1, .control = &control}),
+               util::StopRequested);
+}
+
+TEST(DeltaStepping, ZeroWeightEdgesExact) {
+  // Zero-weight chains stay inside the current bucket and must still
+  // settle exactly, whatever the bucket width.
+  std::vector<graph::Edge> edges{{0, 1, 0}, {1, 2, 0}, {2, 3, 5},
+                                 {0, 3, 6},  {3, 4, 0}, {4, 0, 0}};
+  const auto g = graph::build_csr(5, std::move(edges));
+  const auto expected = dijkstra_distances(g, 0);
+  for (const graph::Distance delta : {1u, 3u, 100u}) {
+    const SsspResult r = delta_stepping(g, 0, {.delta = delta});
+    EXPECT_EQ(count_distance_mismatches(r.distances, expected), 0u)
+        << "delta " << delta;
+  }
+}
+
+TEST(DeltaStepping, StaleBucketEntryIsNotReinjected) {
+  // Vertex 1 is spilled to bucket 10, then improved to 2 through vertex
+  // 2 and settled there. Its bucket-10 entry is stale: visiting it scans
+  // one entry and injects nothing, so the run ends after 3 iterations.
+  const auto g = graph::build_csr(3, {{0, 1, 10}, {0, 2, 1}, {2, 1, 1}});
+  const SsspResult r = delta_stepping(g, 0, {.delta = 1});
+  EXPECT_EQ(r.distances, (std::vector<graph::Distance>{0, 2, 1}));
+  ASSERT_EQ(r.num_iterations(), 3u);
+  const std::uint64_t far_sizes[] = {1, 1, 0};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& it = r.iterations[i];
+    EXPECT_EQ(it.x1, 1u) << "iteration " << i;
+    EXPECT_EQ(it.rebalance_items, 1u) << "iteration " << i;
+    EXPECT_EQ(it.far_queue_size, far_sizes[i]) << "iteration " << i;
+  }
+}
+
+TEST(DeltaStepping, StatsInvariants) {
+  const auto g = testing::random_graph(500, 5.0, 60, 9);
+  const SsspResult r = delta_stepping(g, 0, {.delta = 8});
+  ASSERT_FALSE(r.iterations.empty());
+  std::uint64_t improving = 0;
+  for (const auto& it : r.iterations) {
+    EXPECT_LE(it.x3, it.improving_relaxations);
+    EXPECT_LE(it.improving_relaxations, it.x2);
+    // bisect keeps a subset of the filtered frontier... plus any
+    // bucket refill.
+    EXPECT_LE(it.x4, it.x3 + it.rebalance_items);
+    improving += it.improving_relaxations;
+  }
+  EXPECT_EQ(improving, r.improving_relaxations);
+  // The first iteration starts from the source alone.
+  EXPECT_EQ(r.iterations.front().x1, 1u);
+}
+
 TEST(DeltaStepping, UnreachableVerticesStayInfinite) {
   const auto g = graph::build_csr(4, {{0, 1, 3}});
   const SsspResult r = delta_stepping(g, 0, {.delta = 2});

@@ -91,6 +91,8 @@ int main(int argc, char** argv) {
       verify::set_flight_enabled(true);
     const std::size_t threads = tools::apply_threads_flag(flags);
     tools::apply_run_control_flags(flags, control);
+    const auto delta = static_cast<graph::Distance>(util::parse_unsigned(
+        "delta", flags.get_string("delta"), graph::kInfiniteDistance));
     const std::string dvfs = flags.get_string("dvfs");
     std::optional<sim::FrequencyPair> pinned_dvfs;
     if (dvfs != "default") {
@@ -143,16 +145,13 @@ int main(int argc, char** argv) {
       if (algorithm == "dijkstra") {
         result = algo::dijkstra(g, source);
       } else if (algorithm == "bellman-ford") {
-        result = algo::bellman_ford(g, source);
+        result = algo::bellman_ford(g, source, &control);
       } else if (algorithm == "delta-stepping") {
-        result = algo::delta_stepping(
-            g, source,
-            {.delta = static_cast<graph::Distance>(flags.get_int("delta"))});
+        result = algo::delta_stepping(g, source,
+                                      {.delta = delta, .control = &control});
       } else if (algorithm == "near-far") {
-        algo::NearFarOptions options;
-        options.delta = static_cast<graph::Distance>(flags.get_int("delta"));
-        options.control = &control;
-        result = algo::near_far(g, source, options);
+        result = algo::near_far(g, source,
+                                {.delta = delta, .control = &control});
       } else if (algorithm == "self-tuning") {
         core::SelfTuningOptions options;
         options.set_point = flags.get_double("set-point");
