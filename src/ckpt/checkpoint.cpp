@@ -27,8 +27,9 @@ using graph::IoErrorClass;
 
 constexpr char kMagic[8] = {'T', 'S', 'S', 'S', 'P', 'C', 'K', '1'};
 // Version 2 dropped the parallel-advance fields from the options
-// section; version-1 images are rejected rather than misparsed.
-constexpr std::uint32_t kVersion = 2;
+// section, version 3 the iteration cap and the controller ablation
+// switches; older images are rejected rather than misparsed.
+constexpr std::uint32_t kVersion = 3;
 // Section order is part of the format: meta, options, controller,
 // engine, far queue, iterations, failpoints.
 constexpr std::uint64_t kSectionCount = 7;
@@ -197,12 +198,7 @@ std::string encode_options(const core::SelfTuningOptions& options) {
   std::string out;
   append_f64(out, options.set_point);
   append_f64(out, options.initial_delta);
-  append_u64(out, options.max_iterations);
   append_u8(out, options.measure_controller_time ? 1 : 0);
-  append_u8(out, options.adaptive_learning_rate ? 1 : 0);
-  append_u8(out, options.rebalance_down ? 1 : 0);
-  append_u8(out, options.partition_boundaries ? 1 : 0);
-  append_u64(out, options.bootstrap_observations);
   return out;
 }
 
@@ -210,12 +206,7 @@ core::SelfTuningOptions decode_options(Cursor& cursor) {
   core::SelfTuningOptions options;
   options.set_point = cursor.read_f64();
   options.initial_delta = cursor.read_f64();
-  options.max_iterations = cursor.read_u64();
   options.measure_controller_time = cursor.read_u8() != 0;
-  options.adaptive_learning_rate = cursor.read_u8() != 0;
-  options.rebalance_down = cursor.read_u8() != 0;
-  options.partition_boundaries = cursor.read_u8() != 0;
-  options.bootstrap_observations = cursor.read_u64();
   options.control = nullptr;
   return options;
 }

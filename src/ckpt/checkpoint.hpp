@@ -13,11 +13,13 @@
 // the uninterrupted run *exactly* — distances, parents, X1-X4
 // trajectories, and controller CSVs byte-compare.
 //
-// On-disk format ("TSSSPCK1", version 2): a checksummed header followed
+// On-disk format ("TSSSPCK1", version 3): a checksummed header followed
 // by length-prefixed sections, each trailed by its own FNV-1a 64
 // checksum — the same integrity discipline as the TSSSPGR2 binary graph
-// format. Version 1 images, which carried the removed parallel-advance
-// options, fail to load with IoErrorClass::kVersion. Writes are
+// format. Version 1 images (which carried the removed parallel-advance
+// options) and version 2 images (the removed iteration cap and
+// controller ablation switches) fail to load with
+// IoErrorClass::kVersion. Writes are
 // in-memory-serialize -> tmp -> rename, so a crash at any instant
 // leaves either the previous complete checkpoint or a tmp file that is
 // never read. Corruption (torn tail, flipped bit,

@@ -19,9 +19,6 @@ AdaptiveSgd::AdaptiveSgd(const AdaptiveSgdOptions& options)
     throw std::invalid_argument("AdaptiveSgd: epsilon must be positive");
   if (options.min_parameter > options.max_parameter)
     throw std::invalid_argument("AdaptiveSgd: min_parameter > max_parameter");
-  if (!options.adaptive && options.fixed_learning_rate <= 0.0)
-    throw std::invalid_argument(
-        "AdaptiveSgd: fixed_learning_rate must be positive");
   set_parameter(theta_);
 }
 
@@ -83,12 +80,6 @@ double AdaptiveSgd::update(double x, double y) {
   const double residual = y - theta_ * x;
   const double grad = -2.0 * residual * x;   // line 1
   const double grad2 = 2.0 * x * x;          // line 2
-
-  if (!options_.adaptive) {
-    // Normalize by curvature so the fixed rate is scale-free in x.
-    set_parameter(theta_ - options_.fixed_learning_rate * grad / grad2);
-    return theta_;
-  }
 
   const double w = 1.0 / tau_;
   g_bar_ = (1.0 - w) * g_bar_ + w * grad;           // line 3

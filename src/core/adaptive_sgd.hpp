@@ -27,10 +27,6 @@ struct AdaptiveSgdOptions {
   // Initialization constants from Algorithm 1 (epsilon guards the
   // variance EMA against division by zero before the first update).
   double epsilon = 1e-6;
-  // Disable the Schaul adaptation and use a fixed learning rate instead
-  // (ablation knob; the paper always adapts).
-  bool adaptive = true;
-  double fixed_learning_rate = 1e-4;
   // Parameter clamp after each update; models in this codebase are
   // physically positive quantities (average degree, vertices/distance).
   double min_parameter = 1e-9;

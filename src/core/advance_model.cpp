@@ -6,7 +6,6 @@ namespace {
 AdaptiveSgdOptions make_sgd_options(const AdvanceModel::Options& options) {
   AdaptiveSgdOptions sgd;
   sgd.initial_parameter = options.initial_degree;
-  sgd.adaptive = options.adaptive;
   // Degrees live in [~0.1, ~10^5] on real graphs; clamp generously.
   sgd.min_parameter = 1e-3;
   sgd.max_parameter = 1e9;

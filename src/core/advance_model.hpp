@@ -15,7 +15,6 @@ class AdvanceModel {
     // know the graph pass its mean degree; 1.0 is the paper's neutral
     // default.
     double initial_degree = 1.0;
-    bool adaptive = true;  // Algorithm 1 vs fixed-rate SGD (ablation)
   };
 
   AdvanceModel() : AdvanceModel(Options{}) {}

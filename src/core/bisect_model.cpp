@@ -10,7 +10,6 @@ constexpr double kMinAlpha = 1e-6;
 AdaptiveSgdOptions make_sgd_options(const BisectModel::Options& options) {
   AdaptiveSgdOptions sgd;
   sgd.initial_parameter = options.initial_alpha;
-  sgd.adaptive = options.adaptive;
   // alpha is vertices-per-unit-distance: positive, potentially large on
   // dense distance ranges.
   sgd.min_parameter = kMinAlpha;
@@ -21,7 +20,7 @@ AdaptiveSgdOptions make_sgd_options(const BisectModel::Options& options) {
 }  // namespace
 
 BisectModel::BisectModel(const Options& options)
-    : options_(options), sgd_(make_sgd_options(options)) {}
+    : sgd_(make_sgd_options(options)) {}
 
 double BisectModel::alpha(const BootstrapState& state) const {
   if (converged()) return std::max(kMinAlpha, sgd_.parameter());

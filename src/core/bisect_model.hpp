@@ -20,11 +20,10 @@ class BisectModel {
  public:
   struct Options {
     double initial_alpha = 1.0;
-    bool adaptive = true;  // Algorithm 1 vs fixed-rate SGD (ablation)
-    // Number of SGD observations after which the learned alpha replaces
-    // the Eq. 8 bootstrap (paper: "converged ... after about 5").
-    std::uint64_t bootstrap_observations = 5;
   };
+  // Number of SGD observations after which the learned alpha replaces
+  // the Eq. 8 bootstrap (paper: "converged ... after about 5").
+  static constexpr std::uint64_t kBootstrapObservations = 5;
 
   BisectModel() : BisectModel(Options{}) {}
   explicit BisectModel(const Options& options);
@@ -37,7 +36,7 @@ class BisectModel {
   }
 
   bool converged() const noexcept {
-    return sgd_.updates() >= options_.bootstrap_observations;
+    return sgd_.updates() >= kBootstrapObservations;
   }
 
   // Inputs Eq. 8 needs when still bootstrapping.
@@ -64,7 +63,6 @@ class BisectModel {
   void restore_sgd(const AdaptiveSgd::State& state) { sgd_.restore(state); }
 
  private:
-  Options options_;
   AdaptiveSgd sgd_;
 };
 

@@ -46,12 +46,8 @@ struct ControllerMetrics {
 DeltaController::DeltaController(const ControllerConfig& config)
     : config_(config),
       advance_(AdvanceModel::Options{
-          .initial_degree = config.initial_degree > 0 ? config.initial_degree : 1.0,
-          .adaptive = config.adaptive_learning_rate}),
-      bisect_(BisectModel::Options{
-          .initial_alpha = 1.0,
-          .adaptive = config.adaptive_learning_rate,
-          .bootstrap_observations = config.bootstrap_observations}),
+          .initial_degree =
+              config.initial_degree > 0 ? config.initial_degree : 1.0}),
       health_(config.health),
       delta_(config.initial_delta) {
   if (config.set_point <= 0.0)
@@ -79,12 +75,8 @@ double DeltaController::fallback_step() const {
 void DeltaController::reset_models() {
   advance_ = AdvanceModel(AdvanceModel::Options{
       .initial_degree =
-          config_.initial_degree > 0 ? config_.initial_degree : 1.0,
-      .adaptive = config_.adaptive_learning_rate});
-  bisect_ = BisectModel(BisectModel::Options{
-      .initial_alpha = 1.0,
-      .adaptive = config_.adaptive_learning_rate,
-      .bootstrap_observations = config_.bootstrap_observations});
+          config_.initial_degree > 0 ? config_.initial_degree : 1.0});
+  bisect_ = BisectModel();
   has_pending_ = false;
   last_alpha_ = 1.0;
   health_.count_model_reset();

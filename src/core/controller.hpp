@@ -20,8 +20,6 @@
 // exact in every state — only tracking quality is at stake.
 #pragma once
 
-#include <cstdint>
-
 #include "core/advance_model.hpp"
 #include "core/bisect_model.hpp"
 #include "core/controller_health.hpp"
@@ -44,10 +42,6 @@ struct ControllerConfig {
   // slice of vertices between the frontier and the far queue every
   // iteration, paying stage-4 work for no tracking benefit.
   double deadband_ratio = 0.25;
-  // Ablation: disable Algorithm 1's adaptive learning rate.
-  bool adaptive_learning_rate = true;
-  // SGD observations before trusting the learned alpha (paper: ~5).
-  std::uint64_t bootstrap_observations = 5;
   // Seed for the ADVANCE-MODEL's degree estimate (graph mean degree).
   double initial_degree = 1.0;
   // Degraded-mode bucket width (the static delta policy's step per

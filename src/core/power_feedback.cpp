@@ -29,7 +29,6 @@ PowerFeedbackResult power_feedback_sssp(const graph::CsrGraph& graph,
   SelfTuningOptions tuning = options.tuning;
   tuning.set_point = std::clamp(options.initial_set_point,
                                 options.min_set_point, options.max_set_point);
-  tuning.max_iterations = options.max_iterations;
   SelfTuningRun run(graph, source, tuning);
 
   auto live_policy = policy.clone();

@@ -37,8 +37,7 @@ struct PowerFeedbackOptions {
   // EMA time constant for the power signal (PowerMon samples are noisy;
   // the paper's device streams at 1 kHz and any real loop would filter).
   double power_ema_tau = 3.0;
-  std::size_t max_iterations = 0;
-  SelfTuningOptions tuning;  // set_point/max_iterations fields are ignored
+  SelfTuningOptions tuning;  // the set_point field is ignored
 };
 
 struct PowerFeedbackResult {

@@ -88,19 +88,13 @@ struct SelfTuningRun::Impl {
     config.set_point = options.set_point;
     config.initial_delta =
         options.initial_delta > 0.0 ? options.initial_delta : mean_weight;
-    config.adaptive_learning_rate = options.adaptive_learning_rate;
-    config.bootstrap_observations = options.bootstrap_observations;
     config.initial_degree = mean_degree;
     // Degraded-mode bucket width: the classic delta-stepping choice.
     config.fallback_delta = mean_weight;
     return config;
   }
 
-  bool done() const {
-    return engine.frontier_empty() ||
-           (options.max_iterations &&
-            result.iterations.size() >= options.max_iterations);
-  }
+  bool done() const { return engine.frontier_empty(); }
 
   bool step();
   void run_audit(const frontier::IterationStats& stats);
@@ -230,7 +224,7 @@ bool SelfTuningRun::Impl::step() {
     controller_seconds += controller_timer.elapsed_seconds();
   }
 
-  Distance threshold_next = to_threshold(new_delta);
+  const Distance threshold_next = to_threshold(new_delta);
   Distance reached = threshold_next;
   {
   SSSP_TRACE_SPAN("rebalance");
@@ -238,7 +232,7 @@ bool SelfTuningRun::Impl::step() {
   // Boundary maintenance moves entries between partitions: that is
   // device-side rebalance work (charged via rebalance_items), not host
   // controller compute.
-  if (options.partition_boundaries && !far.empty()) {
+  if (!far.empty()) {
     stats.rebalance_items += far.update_boundary(
         controller.target_frontier_size(), controller.last_alpha());
   }
@@ -248,15 +242,13 @@ bool SelfTuningRun::Impl::step() {
   // (partitions are pulled in distance order up to the target), so a
   // planned increase needs no separate whole-range pull — that would
   // re-admit unbounded distance-tied cohorts past the set-point.
-  if (threshold_next < threshold_k && options.rebalance_down) {
+  if (threshold_next < threshold_k) {
     // Demoted vertices may lie below boundaries the queue has already
     // consumed; lower the floor so Eq. 7 can subdivide that range.
     far.lower_floor(threshold_next);
     stats.rebalance_items += engine.demote(threshold_next);
     far.push_bulk(engine.spill(), engine.distances());
     engine.clear_spill();
-  } else if (threshold_next <= threshold_k) {
-    threshold_next = threshold_k;
   }
 
   // Tie-breaking demotion: when a distance-tied cohort (e.g. one BFS
@@ -265,15 +257,13 @@ bool SelfTuningRun::Impl::step() {
   // spilled vertices re-enter through later top-ups. The 2x trigger
   // leaves ordinary wavefront overshoot (which Eq. 6 handles by
   // distance) alone and fires only on genuine tie bursts.
-  if (options.rebalance_down) {
-    const double overshoot_limit = 2.0 * controller.target_frontier_size();
-    if (static_cast<double>(engine.frontier_size()) > overshoot_limit) {
-      const auto keep = static_cast<std::size_t>(
-          std::max(1.0, controller.target_frontier_size()));
-      stats.rebalance_items += engine.demote_excess(keep);
-      far.push_bulk(engine.spill(), engine.distances());
-      engine.clear_spill();
-    }
+  const double overshoot_limit = 2.0 * controller.target_frontier_size();
+  if (static_cast<double>(engine.frontier_size()) > overshoot_limit) {
+    const auto keep = static_cast<std::size_t>(
+        std::max(1.0, controller.target_frontier_size()));
+    stats.rebalance_items += engine.demote_excess(keep);
+    far.push_bulk(engine.spill(), engine.distances());
+    engine.clear_spill();
   }
 
   // Top-up: if the frontier is below the target X1 = P/d, consume far
@@ -286,49 +276,27 @@ bool SelfTuningRun::Impl::step() {
   // from inside the deadband would immediately trigger the demote side
   // (ping-pong).
   const double low_water = target_x1 * (1.0 - controller.deadband_ratio());
-  reached = threshold_next;
   while (static_cast<double>(engine.frontier_size()) < low_water &&
          !far.empty()) {
-    if (options.partition_boundaries) {
-      stats.rebalance_items += far.update_boundary(
-          controller.target_frontier_size(), controller.last_alpha());
-      refill.clear();
-      // Count-limited pull: distance ties (whole BFS levels on the hop
-      // metric) can make a partition bigger than the target; admit only
-      // what the set-point calls for and leave the rest postponed.
-      const auto need = static_cast<std::uint64_t>(std::max(
-          1.0, std::ceil(target_x1 -
-                         static_cast<double>(engine.frontier_size()))));
-      const auto pull =
-          far.pull_front_partition(engine.distances(), refill, need);
-      engine.inject(refill);
-      stats.rebalance_items += pull.scanned;
-      if (!pull.exhausted) break;  // partial pull: target met, delta holds
-      if (pull.bound == kInfiniteDistance) {
-        reached = kInfiniteDistance;
-        break;
-      }
-      reached = std::max(reached, pull.bound + 1);
-    } else {
-      // Ablation: no partition structure — compute the pull threshold
-      // directly and scan the whole queue (the cost the partitioning
-      // exists to avoid shows up in rebalance_items).
-      const Distance next_live = far.min_live_distance(engine.distances());
-      stats.rebalance_items += far.size();
-      if (next_live == kInfiniteDistance) {
-        far.clear();
-        break;
-      }
-      const double width =
-          std::max(1.0, controller.set_point() / controller.last_alpha());
-      const Distance forced =
-          next_live + static_cast<Distance>(std::min(width, 9e18));
-      refill.clear();
-      stats.rebalance_items +=
-          far.pull_below(forced, engine.distances(), refill);
-      engine.inject(refill);
-      reached = std::max(reached, forced);
+    stats.rebalance_items += far.update_boundary(
+        controller.target_frontier_size(), controller.last_alpha());
+    refill.clear();
+    // Count-limited pull: distance ties (whole BFS levels on the hop
+    // metric) can make a partition bigger than the target; admit only
+    // what the set-point calls for and leave the rest postponed.
+    const auto need = static_cast<std::uint64_t>(std::max(
+        1.0, std::ceil(target_x1 -
+                       static_cast<double>(engine.frontier_size()))));
+    const auto pull =
+        far.pull_front_partition(engine.distances(), refill, need);
+    engine.inject(refill);
+    stats.rebalance_items += pull.scanned;
+    if (!pull.exhausted) break;  // partial pull: target met, delta holds
+    if (pull.bound == kInfiniteDistance) {
+      reached = kInfiniteDistance;
+      break;
     }
+    reached = std::max(reached, pull.bound + 1);
   }
   }  // rebalance span
   if (reached > threshold_next) {

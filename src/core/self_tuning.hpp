@@ -40,16 +40,9 @@ struct SelfTuningOptions {
   double set_point = 0.0;
   // 0 seeds delta with the graph's mean edge weight.
   double initial_delta = 0.0;
-  // Safety valve (0 = unlimited).
-  std::size_t max_iterations = 0;
   // Measure controller wall-clock and charge it to the workload. Off
   // gives bit-deterministic workloads for golden tests.
   bool measure_controller_time = true;
-  // --- ablation knobs (DESIGN.md Section 6) ---
-  bool adaptive_learning_rate = true;  // Algorithm 1 vs fixed-rate SGD
-  bool rebalance_down = true;          // allow demoting when delta shrinks
-  bool partition_boundaries = true;    // Eq. 7 maintenance on/off
-  std::uint64_t bootstrap_observations = 5;
   // --- online invariant auditing (docs/ROBUSTNESS.md) ---
   // Run the verify-layer invariant audit (A1-A4: frontier accounting,
   // Eq. 7 boundary ordering, distance no-regression probes, finite

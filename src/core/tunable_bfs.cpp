@@ -18,7 +18,6 @@ TunableBfsResult tunable_bfs(const graph::CsrGraph& graph,
 
   SelfTuningOptions tuning;
   tuning.set_point = options.set_point;
-  tuning.max_iterations = options.max_iterations;
   tuning.initial_delta = 1.0;  // start level-synchronous, let it adapt
   algo::SsspResult run = self_tuning_sssp(unit, source, tuning);
 

@@ -11,7 +11,6 @@
 // paper's mechanism, which is the half that matters for power).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/self_tuning.hpp"
@@ -21,7 +20,6 @@ namespace sssp::core {
 
 struct TunableBfsOptions {
   double set_point = 0.0;  // required, > 0
-  std::size_t max_iterations = 0;
 };
 
 struct TunableBfsResult {

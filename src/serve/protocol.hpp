@@ -66,7 +66,8 @@ struct Request {
   // Vertices whose distances the response should carry verbatim
   // (bounded by kMaxTargets).
   std::vector<graph::VertexId> targets;
-  // Algorithm knobs (validated finite; part of the cache key).
+  // Algorithm knobs (validated finite). Each is part of the cache key
+  // only for the algorithms that read it.
   double set_point = 0.0;  // self-tuning only; 0 = server default
   // Delta-stepping's bucket width and near-far's phase width (part of
   // the coalescing key). 0 = the rounded mean weight for near-far and

@@ -326,8 +326,13 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
                                        : options_.verify_default;
   const double set_point =
       head.set_point > 0.0 ? head.set_point : options_.set_point;
+  // Key each algorithm by the options it reads, so queries that differ
+  // only in an ignored delta or set-point share one entry.
+  const bool reads_delta =
+      algorithm == "near-far" || algorithm == "delta-stepping";
   const std::string options_key = cache_options_key(
-      algorithm, head.delta, algorithm == "self-tuning" ? set_point : 0.0);
+      algorithm, reads_delta ? head.delta : 0,
+      algorithm == "self-tuning" ? set_point : 0.0);
   const auto key_for = [&](graph::VertexId source) {
     CacheKey key;
     key.fingerprint = fingerprint_;

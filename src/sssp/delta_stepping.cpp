@@ -6,9 +6,14 @@
 
 #include "frontier/engine.hpp"
 #include "frontier/far_queue.hpp"
+#include "sssp/near_far.hpp"
 
 namespace sssp::algo {
 namespace {
+
+// The ring may always grow to this many buckets, or to one per vertex
+// on larger graphs.
+constexpr graph::Distance kMaxRing = 65536;
 
 graph::Distance heuristic_delta(const graph::CsrGraph& graph,
                                 graph::Weight max_weight) {
@@ -33,13 +38,25 @@ SsspResult delta_stepping(const graph::CsrGraph& graph,
   const graph::Distance delta =
       options.delta > 0 ? options.delta : heuristic_delta(graph, max_weight);
 
-  frontier::NearFarEngine engine(graph, source, {.control = options.control});
-
   // Cyclic bucket ring; bucket index = dist / delta mod ring. A spill
   // lies less than max_weight past the current bucket's upper end, so
   // at most max_weight / delta + 1 buckets ahead of it: a ring of
   // max_weight / delta + 2 never wraps onto a bucket still in use.
-  const std::size_t ring = static_cast<std::size_t>(max_weight / delta) + 2;
+  const graph::Distance ring = max_weight / delta + 2;
+  // A ring larger than the graph (a heavy edge at a tiny delta) would
+  // cost memory and empty-bucket scans out of all proportion to the
+  // work. Near-far at the same delta runs the same phases, so it
+  // answers instead: the same distances, parents, x1-x4 and thresholds,
+  // counting only its far-queue work (rebalance_items, far_queue_size)
+  // its own way.
+  if (ring > std::max<graph::Distance>(graph.num_vertices(), kMaxRing)) {
+    SsspResult result = near_far(
+        graph, source, {.delta = delta, .control = options.control});
+    result.algorithm = "delta-stepping";
+    return result;
+  }
+
+  frontier::NearFarEngine engine(graph, source, {.control = options.control});
   std::vector<std::vector<frontier::FarEntry>> buckets(ring);
   std::size_t ring_entries = 0;
 
@@ -58,8 +75,12 @@ SsspResult delta_stepping(const graph::CsrGraph& graph,
       if (reason != util::StopReason::kNone) throw util::StopRequested(reason);
     }
 
+    const graph::Distance threshold =
+        phase + 1 > graph::kInfiniteDistance / delta
+            ? graph::kInfiniteDistance
+            : static_cast<graph::Distance>(phase + 1) * delta;
     frontier::IterationStats stats;
-    stats.delta = static_cast<double>(delta);
+    stats.delta = static_cast<double>(threshold);
 
     const auto advance = engine.advance_and_filter();
     stats.x1 = advance.x1;
@@ -67,14 +88,10 @@ SsspResult delta_stepping(const graph::CsrGraph& graph,
     stats.x3 = advance.x3;
     stats.improving_relaxations = advance.improving_relaxations;
 
-    const graph::Distance threshold =
-        phase + 1 > graph::kInfiniteDistance / delta
-            ? graph::kInfiniteDistance
-            : static_cast<graph::Distance>(phase + 1) * delta;
     stats.x4 = engine.bisect(threshold);
     for (const graph::VertexId v : engine.spill()) {
       const graph::Distance d = engine.distance(v);
-      buckets[static_cast<std::size_t>((d / delta) % ring)].push_back({v, d});
+      buckets[(d / delta) % ring].push_back({v, d});
     }
     ring_entries += engine.spill().size();
     engine.clear_spill();

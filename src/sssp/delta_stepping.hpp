@@ -5,6 +5,9 @@
 // so moving to the next bucket scans only that bucket's entries.
 // Unlike Meyer & Sanders' formulation it does not split light from
 // heavy edges: a frontier vertex relaxes all its out-edges at once.
+// The ring holds max_weight / delta + 2 buckets; when that would exceed
+// max(num_vertices, 65536), the run is near-far's at the same delta,
+// which visits the same phases with one far queue.
 #pragma once
 
 #include "graph/csr.hpp"

@@ -148,14 +148,15 @@ TEST_F(CheckpointFormatTest, WrongMagicIsAVersionError) {
   }
 }
 
-// A well-formed version-1 image — valid header checksum, and an options
-// section in the v1 layout, which carried parallel_advance (u8) and
-// parallel_threshold (u64) after measure_controller_time — must fail as
-// a version error, never load with misread options.
-TEST_F(CheckpointFormatTest, VersionOneImageIsAVersionError) {
-  const auto u64_at = [](const std::string& b, std::size_t at) {
+// Rebuilds the suite's image as an older format version: the header
+// carries `version`, the options section is `options` in that version's
+// layout, and both are re-checksummed, so the image is well formed in
+// every respect but its version.
+std::string legacy_image(const std::string& image, std::uint32_t version,
+                         const std::string& options) {
+  const auto u64_at = [&](std::size_t at) {
     std::uint64_t v = 0;
-    std::memcpy(&v, b.data() + at, sizeof v);
+    std::memcpy(&v, image.data() + at, sizeof v);
     return v;
   };
   const auto append_u64 = [](std::string& out, std::uint64_t v) {
@@ -164,34 +165,61 @@ TEST_F(CheckpointFormatTest, VersionOneImageIsAVersionError) {
   // magic(8) | header checksum(8) | version u32, reserved u32,
   // section count u64 | sections: length u64, payload, checksum u64.
   constexpr std::size_t kHeader = 16, kSections = 32;
-  const std::string& v2 = *bytes_;
-  const std::size_t options_at = kSections + 16 + u64_at(v2, kSections);
-  const std::string v2_options =
-      v2.substr(options_at + 8, u64_at(v2, options_at));
-  constexpr std::size_t kAfterMeasure = 8 + 8 + 8 + 1;
-  std::string v1_options = v2_options.substr(0, kAfterMeasure);
-  v1_options.push_back('\1');     // parallel_advance
-  append_u64(v1_options, 4096);  // parallel_threshold
-  v1_options += v2_options.substr(kAfterMeasure);
-
-  std::string header = v2.substr(kHeader, kSections - kHeader);
-  const std::uint32_t version = 1;
+  const std::size_t options_at = kSections + 16 + u64_at(kSections);
+  std::string header = image.substr(kHeader, kSections - kHeader);
   std::memcpy(header.data(), &version, sizeof version);
-  std::string v1 = v2.substr(0, 8);
-  append_u64(v1, graph::fnv1a64(header.data(), header.size()));
-  v1 += header;
-  v1 += v2.substr(kSections, options_at - kSections);  // meta section
-  append_u64(v1, v1_options.size());
-  v1 += v1_options;
-  append_u64(v1, graph::fnv1a64(v1_options.data(), v1_options.size()));
-  v1 += v2.substr(options_at + 16 + v2_options.size());
+  std::string out = image.substr(0, 8);
+  append_u64(out, graph::fnv1a64(header.data(), header.size()));
+  out += header;
+  out += image.substr(kSections, options_at - kSections);  // meta section
+  append_u64(out, options.size());
+  out += options;
+  append_u64(out, graph::fnv1a64(options.data(), options.size()));
+  out += image.substr(options_at + 16 + u64_at(options_at));
+  return out;
+}
 
+// The options section of versions 1 and 2: set_point, initial_delta,
+// the iteration cap (u64), measure_controller_time, then — version 1
+// only — parallel_advance (u8) and parallel_threshold (u64), then the
+// three controller switches (u8 each) and the bootstrap count (u64).
+std::string legacy_options(const RunState& state, bool version_one) {
+  const auto append = [](std::string& out, const auto& v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  std::string out;
+  append(out, state.options.set_point);
+  append(out, state.options.initial_delta);
+  append(out, std::uint64_t{0});
+  out.push_back(state.options.measure_controller_time ? '\1' : '\0');
+  if (version_one) {
+    out.push_back('\1');
+    append(out, std::uint64_t{4096});
+  }
+  out += "\1\1\1";
+  append(out, std::uint64_t{5});
+  return out;
+}
+
+void expect_version_error(const std::string& image, const char* what) {
   try {
-    deserialize_checkpoint(v1);
-    FAIL() << "version-1 checkpoint accepted";
+    deserialize_checkpoint(image);
+    FAIL() << what << " checkpoint accepted";
   } catch (const graph::GraphIoError& e) {
     EXPECT_EQ(e.error_class(), graph::IoErrorClass::kVersion) << e.what();
   }
+}
+
+// Well-formed images of the older versions must fail as version errors,
+// never load with misread options.
+TEST_F(CheckpointFormatTest, VersionOneImageIsAVersionError) {
+  expect_version_error(
+      legacy_image(*bytes_, 1, legacy_options(*state_, true)), "version-1");
+}
+
+TEST_F(CheckpointFormatTest, VersionTwoImageIsAVersionError) {
+  expect_version_error(
+      legacy_image(*bytes_, 2, legacy_options(*state_, false)), "version-2");
 }
 
 // Forged counts in checksum-valid sections fail as structured loader

@@ -68,7 +68,8 @@ TEST(BisectModel, BootstrapFallsBackWhenNoPartitionState) {
 }
 
 TEST(BisectModel, ConvergesAfterConfiguredObservations) {
-  BisectModel model(BisectModel::Options{.bootstrap_observations = 5});
+  static_assert(BisectModel::kBootstrapObservations == 5);
+  BisectModel model;
   for (int k = 0; k < 4; ++k) model.observe(10.0, 100.0, 100.0 + 30.0 * 10.0);
   EXPECT_FALSE(model.converged());
   model.observe(10.0, 100.0, 100.0 + 30.0 * 10.0);

@@ -151,15 +151,6 @@ TEST(SelfTuning, RecordsModelEstimates) {
   EXPECT_NEAR(r.iterations.back().degree_estimate, 1.0, 0.2);
 }
 
-TEST(SelfTuning, MaxIterationsCap) {
-  const auto g = ring(5000);
-  SelfTuningOptions options;
-  options.set_point = 1.0;
-  options.max_iterations = 25;
-  const auto r = self_tuning_sssp(g, 0, options);
-  EXPECT_EQ(r.num_iterations(), 25u);
-}
-
 TEST(SelfTuning, ZeroWeightEdgesExact) {
   std::vector<graph::Edge> edges;
   util::Xoshiro256 rng(123);
@@ -183,26 +174,6 @@ TEST(SelfTuning, UnreachableVerticesStayInfinite) {
   const auto r = self_tuning_sssp(g, 0, options);
   EXPECT_EQ(r.reached_count(), 3u);
   EXPECT_EQ(r.distances[5], graph::kInfiniteDistance);
-}
-
-TEST(SelfTuning, AblationsStillExact) {
-  const auto g = random_graph(1200, 4.0, 99, 31);
-  const auto expected = dijkstra_distances(g, 0);
-  for (const bool adaptive : {true, false}) {
-    for (const bool down : {true, false}) {
-      for (const bool bounds : {true, false}) {
-        SelfTuningOptions options;
-        options.set_point = 1000.0;
-        options.adaptive_learning_rate = adaptive;
-        options.rebalance_down = down;
-        options.partition_boundaries = bounds;
-        const auto r = self_tuning_sssp(g, 0, options);
-        EXPECT_EQ(count_distance_mismatches(r.distances, expected), 0u)
-            << "adaptive=" << adaptive << " down=" << down
-            << " bounds=" << bounds;
-      }
-    }
-  }
 }
 
 // Exactness property sweep: arbitrary set-points must never break

@@ -96,6 +96,30 @@ TEST(ServerTest, OkQueryIsCertifiedAndCached) {
   server.drain();
 }
 
+// Self-tuning never reads delta, so a query that differs only in its
+// delta is the same query: it hits the entry the first one stored.
+TEST(ServerTest, IgnoredDeltaSharesTheCacheEntry) {
+  const auto g = random_graph(512, 4.0, 100, 3);
+  Server server(g, {});
+  server.start();
+  Collector c;
+  const std::string self_tuning = ",\"algorithm\":\"self-tuning\"";
+  server.submit(query("delta", 5, self_tuning + ",\"delta\":7"), c.sink());
+  ASSERT_TRUE(c.wait_for(1));
+  server.submit(query("plain", 5, self_tuning), c.sink());
+  ASSERT_TRUE(c.wait_for(2));
+  server.drain();
+
+  const Response first = c.responses[0];
+  ASSERT_EQ(first.status, Status::kOk) << first.error;
+  EXPECT_FALSE(first.cache_hit);
+  const Response second = c.responses[1];
+  ASSERT_EQ(second.status, Status::kOk) << second.error;
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.dist_checksum, first.dist_checksum);
+  EXPECT_EQ(server.stats().cache.entries, 1u);
+}
+
 TEST(ServerTest, TargetsComeBackExact) {
   const auto g = ring(16);  // dist(k) = k from source 0
   Server server(g, {});

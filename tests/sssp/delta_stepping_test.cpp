@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "sssp/dijkstra.hpp"
+#include "sssp/near_far.hpp"
 #include "tests/sssp/test_graphs.hpp"
 
 namespace sssp::algo {
@@ -106,6 +111,63 @@ TEST(DeltaStepping, DeltaOneDegeneratesToDijkstraLikePhases) {
   // relaxations should be close to optimal (one per distance improvement
   // in Dijkstra order, where ties may add a few).
   EXPECT_LE(r.improving_relaxations, 2 * r.reached_count());
+}
+
+// At equal delta the bucket ring and near-far's one far queue visit the
+// same phases: the runs agree in everything but how each counts its
+// far-queue work (rebalance_items, far_queue_size).
+TEST(DeltaStepping, MatchesNearFarAtEqualDelta) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    // Weights 0-60, a quarter of them zero.
+    util::Xoshiro256 rng(seed);
+    std::vector<graph::Edge> edges;
+    for (int i = 0; i < 2400; ++i) {
+      const auto u = static_cast<graph::VertexId>(rng.next_below(600));
+      const auto v = static_cast<graph::VertexId>(rng.next_below(600));
+      const auto w = rng.next_below(4) == 0
+                         ? graph::Weight{0}
+                         : static_cast<graph::Weight>(rng.next_range(1, 60));
+      edges.push_back({u, v, w});
+    }
+    const auto g = graph::build_csr(600, std::move(edges));
+    for (const graph::Distance delta : {1u, 3u, 100u, 1u << 30}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " delta " +
+                   std::to_string(delta));
+      const SsspResult ds = delta_stepping(g, 0, {.delta = delta});
+      const SsspResult nf = near_far(g, 0, {.delta = delta});
+      EXPECT_EQ(ds.distances, nf.distances);
+      EXPECT_EQ(ds.parents, nf.parents);
+      EXPECT_EQ(ds.improving_relaxations, nf.improving_relaxations);
+      ASSERT_EQ(ds.num_iterations(), nf.num_iterations());
+      for (std::size_t i = 0; i < ds.num_iterations(); ++i) {
+        frontier::IterationStats it = ds.iterations[i];
+        it.rebalance_items = nf.iterations[i].rebalance_items;
+        it.far_queue_size = nf.iterations[i].far_queue_size;
+        EXPECT_EQ(it, nf.iterations[i]) << "iteration " << i;
+      }
+    }
+  }
+}
+
+TEST(DeltaStepping, OversizedRingRunsNearFar) {
+  // max_weight / delta + 2 = 2^22 + 2 buckets would dwarf the graph:
+  // the run is near-far's at the same delta, under its own name.
+  const auto g = graph::build_csr(3, {{0, 1, 1u << 22}, {0, 2, 1}, {2, 1, 5}});
+  const SsspResult ds = delta_stepping(g, 0, {.delta = 1});
+  const SsspResult nf = near_far(g, 0, {.delta = 1});
+  EXPECT_EQ(ds.algorithm, "delta-stepping");
+  EXPECT_EQ(ds.distances, (std::vector<graph::Distance>{0, 6, 1}));
+  EXPECT_EQ(ds.source, nf.source);
+  EXPECT_EQ(ds.distances, nf.distances);
+  EXPECT_EQ(ds.parents, nf.parents);
+  EXPECT_EQ(ds.iterations, nf.iterations);
+  EXPECT_EQ(ds.improving_relaxations, nf.improving_relaxations);
+  EXPECT_EQ(ds.controller_seconds, nf.controller_seconds);
+  EXPECT_EQ(ds.controller_degradations, nf.controller_degradations);
+  EXPECT_EQ(ds.controller_recoveries, nf.controller_recoveries);
+  EXPECT_EQ(ds.controller_rejected_inputs, nf.controller_rejected_inputs);
+  EXPECT_EQ(ds.audits_run, nf.audits_run);
+  EXPECT_EQ(ds.audit_violations, nf.audit_violations);
 }
 
 // Property sweep: exactness across deltas, seeds, and graph shapes.
