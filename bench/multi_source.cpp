@@ -1,7 +1,6 @@
 // Batched multi-source benchmark (docs/PERFORMANCE.md, "Batched
 // multi-source"): K = 8 queries against a resident graph, solved two
-// ways on the pinned road and R-MAT shapes the regression harness
-// tracks —
+// ways on a 288x288 road grid and a scale-15 R-MAT —
 //   Sequential    K single-source near-far runs back to back (the
 //                 pre-batching serve behavior);
 //   Independent   one run_batch: K serial lanes work-stolen across the
@@ -9,8 +8,7 @@
 // Every benchmark reports qps (queries per second) plus
 // speedup_vs_sequential against a warmup-excluded sequential baseline
 // measured once per graph (PASGAL idiom: one untimed warmup round,
-// then averaged timed rounds). CI merges this binary's JSON into the
-// BENCH_frontier.json artifact.
+// then averaged timed rounds).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -28,8 +26,8 @@ using namespace sssp;
 
 constexpr std::size_t kNumSources = 8;
 
-// The bench_tool "quick" pins: same shapes the committed regression
-// baselines track.
+// Pinned shapes: fixed sizes and generator seeds, so every run times
+// identical work.
 const graph::CsrGraph& road_graph() {
   static const graph::CsrGraph g = [] {
     graph::RoadOptions options;

@@ -7,9 +7,8 @@ namespace {
 
 constexpr double kMinAlpha = 1e-6;
 
-AdaptiveSgdOptions make_sgd_options(const BisectModel::Options& options) {
-  AdaptiveSgdOptions sgd;
-  sgd.initial_parameter = options.initial_alpha;
+AdaptiveSgdOptions make_sgd_options() {
+  AdaptiveSgdOptions sgd;  // alpha starts at the SGD default, 1
   // alpha is vertices-per-unit-distance: positive, potentially large on
   // dense distance ranges.
   sgd.min_parameter = kMinAlpha;
@@ -19,8 +18,7 @@ AdaptiveSgdOptions make_sgd_options(const BisectModel::Options& options) {
 
 }  // namespace
 
-BisectModel::BisectModel(const Options& options)
-    : sgd_(make_sgd_options(options)) {}
+BisectModel::BisectModel() : sgd_(make_sgd_options()) {}
 
 double BisectModel::alpha(const BootstrapState& state) const {
   if (converged()) return std::max(kMinAlpha, sgd_.parameter());

@@ -18,15 +18,11 @@ namespace sssp::core {
 
 class BisectModel {
  public:
-  struct Options {
-    double initial_alpha = 1.0;
-  };
   // Number of SGD observations after which the learned alpha replaces
   // the Eq. 8 bootstrap (paper: "converged ... after about 5").
   static constexpr std::uint64_t kBootstrapObservations = 5;
 
-  BisectModel() : BisectModel(Options{}) {}
-  explicit BisectModel(const Options& options);
+  BisectModel();
 
   // Observe the outcome of a delta change: the frontier size X1 of the
   // next iteration versus the pre-rebalance size X4 and the applied

@@ -51,10 +51,6 @@ TunablePageRankResult tunable_pagerank(const graph::CsrGraph& graph,
           : std::numeric_limits<std::size_t>::max();
 
   while (!active.empty()) {
-    if (options.max_iterations &&
-        result.iterations.size() >= options.max_iterations)
-      break;
-
     // Partition the active set by the current epsilon; if nothing
     // qualifies, relax epsilon toward the tolerance floor (forced
     // progress, as in the SSSP rebalancer).

@@ -34,7 +34,6 @@ struct TunablePageRankOptions {
   double set_point = 0.0;
   // Feedback gain of the multiplicative epsilon controller.
   double gain = 0.5;
-  std::size_t max_iterations = 0;
 };
 
 struct TunablePageRankResult {

@@ -42,6 +42,10 @@ void Failpoint::arm(Mode mode, double probability, std::uint64_t period,
     period_ = period;
     rng_state_ = seed;
   }
+  // A fresh schedule counts from zero: `name=N` fires on the N-th hit
+  // after this call, however often the site was hit before.
+  hits_.store(0, std::memory_order_relaxed);
+  fires_.store(0, std::memory_order_relaxed);
   mode_.store(mode, std::memory_order_relaxed);
 }
 

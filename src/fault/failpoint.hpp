@@ -64,6 +64,7 @@ class Failpoint {
     return evaluate();
   }
 
+  // Arming restarts the hit and fire counts; disarm() keeps them.
   void arm(Mode mode, double probability = 1.0, std::uint64_t period = 1,
            std::uint64_t seed = 0);
   void disarm();
@@ -155,7 +156,8 @@ class FailpointRegistry {
   // Applies captured counters/streams by name (find-or-create). Arming
   // is not changed: the resuming process re-arms from its own specs.
   void restore_runtime(const std::vector<FailpointRuntime>& runtimes);
-  // Total fires across all failpoints since process start.
+  // Total fires across all failpoints, each counted since it was last
+  // armed.
   std::uint64_t total_fires() const;
 
   // Process-wide registry used by SSSP_FAILPOINT sites.

@@ -63,10 +63,10 @@ class JsonWriter {
 // itself safe on adversarial input). Returns true iff `text` parses.
 bool json_valid(std::string_view text);
 
-// Parsed JSON document tree — enough for tools that read back the
-// documents this layer writes (bench_tool's baseline comparison, report
-// round-trip tests). Numbers are doubles (fine for our payloads:
-// counters fit in 53 bits, everything else is already a double).
+// Parsed JSON document tree — enough for the serve protocol's request
+// parser and the report round-trip tests. Numbers are doubles (fine for
+// our payloads: counters fit in 53 bits, everything else is already a
+// double).
 struct JsonValue {
   enum class Type : std::uint8_t {
     kNull, kBool, kNumber, kString, kArray, kObject

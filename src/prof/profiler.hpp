@@ -11,8 +11,8 @@
 // Gating mirrors the obs layer (docs/OBSERVABILITY.md): when no
 // --profile flag armed the profiler, every probe site reduces to one
 // relaxed atomic load and a predictable branch, so instrumented code
-// pays ~nothing (bench_tool --overhead-check asserts ≤1% on the
-// advance sweep).
+// pays ~nothing (ProfOverhead.DisarmedScopesCostAtMostOnePercentOfSweep
+// in frontier_test asserts ≤1% on the advance sweep).
 //
 // Phase attribution is *exclusive*: counters and the clock are read at
 // every scope enter/exit, and each interval is charged to the

@@ -62,9 +62,10 @@ TEST(BisectModel, BootstrapUsesPartitionDensityWhenUndersized) {
 }
 
 TEST(BisectModel, BootstrapFallsBackWhenNoPartitionState) {
-  BisectModel model(BisectModel::Options{.initial_alpha = 2.5});
+  BisectModel model;
   BisectModel::BootstrapState state;  // all zeros
-  EXPECT_DOUBLE_EQ(model.alpha(state), 2.5);
+  // The learned alpha, still at its starting value.
+  EXPECT_DOUBLE_EQ(model.alpha(state), 1.0);
 }
 
 TEST(BisectModel, ConvergesAfterConfiguredObservations) {

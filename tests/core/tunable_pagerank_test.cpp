@@ -113,15 +113,5 @@ TEST(TunablePageRank, RanksSumBelowOneWithDanglingMassDropped) {
   EXPECT_GT(result.ranks[1], result.ranks[0]);  // 1 receives 0's push
 }
 
-TEST(TunablePageRank, MaxIterationsCap) {
-  const auto g = random_graph(300, 5.0, 9, 73);
-  TunablePageRankOptions options;
-  options.tolerance = 1e-12;
-  options.max_iterations = 3;
-  const auto result = tunable_pagerank(g, options);
-  EXPECT_EQ(result.iterations.size(), 3u);
-  EXPECT_FALSE(result.converged);
-}
-
 }  // namespace
 }  // namespace sssp::core

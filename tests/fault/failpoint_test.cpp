@@ -52,6 +52,17 @@ TEST_F(FailpointTest, EveryNthModeFiresOnMultiples) {
   EXPECT_EQ(fired, (std::vector<int>{3, 6, 9}));
 }
 
+TEST_F(FailpointTest, ReArmingRestartsTheEveryNthCount) {
+  FailpointRegistry::global().arm("test.rearm=3");
+  EXPECT_FALSE(SSSP_FAILPOINT("test.rearm"));
+  EXPECT_FALSE(SSSP_FAILPOINT("test.rearm"));
+  FailpointRegistry::global().arm("test.rearm=3");
+  std::vector<int> fired;
+  for (int i = 1; i <= 6; ++i)
+    if (SSSP_FAILPOINT("test.rearm")) fired.push_back(i);
+  EXPECT_EQ(fired, (std::vector<int>{3, 6}));
+}
+
 TEST_F(FailpointTest, ProbabilityModeIsDeterministicPerSeed) {
   auto run = [](const char* spec) {
     FailpointRegistry::global().disarm_all();
@@ -122,9 +133,10 @@ TEST_F(FailpointTest, RegistryReferencesAreStable) {
 }
 
 TEST_F(FailpointTest, TotalFiresAggregatesAcrossFailpoints) {
-  const std::uint64_t before = FailpointRegistry::global().total_fires();
   FailpointRegistry::global().arm("test.agg1");
   FailpointRegistry::global().arm("test.agg2");
+  // Read after arming, which restarts both sites' fire counts.
+  const std::uint64_t before = FailpointRegistry::global().total_fires();
   (void)SSSP_FAILPOINT("test.agg1");
   (void)SSSP_FAILPOINT("test.agg2");
   (void)SSSP_FAILPOINT("test.agg2");

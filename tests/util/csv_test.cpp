@@ -16,10 +16,16 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+// One file per test: ctest runs each test as its own process, in
+// parallel, so a shared path lets one test's writer or TearDown empty
+// the file another test is about to read.
 class CsvWriterTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "csv_test_out.csv";
+  std::string path_ =
+      ::testing::TempDir() + "csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvWriterTest, WritesHeaderAndRows) {

@@ -305,9 +305,7 @@ inline constexpr int kExitInjectedCrash = 12;
 // aborted the run): reports and the flight-recorder dump are flushed
 // first so the failure is post-mortemable.
 inline constexpr int kExitCertificationFailed = 13;
-// bench_tool: at least one matrix cell slowed past its noise-adjusted
-// threshold against the committed baseline (docs/PERFORMANCE.md).
-inline constexpr int kExitBenchRegression = 14;
+// 14 is unassigned; exit codes are never renumbered.
 // sssp_server: the service never became ready — socket/bind/listen
 // failure, bad port, or a graph that failed to load (the loader's
 // structured diagnosis and 3-8 class code stay in the stderr message).
