@@ -251,21 +251,6 @@ bool SelfTuningRun::Impl::step() {
     engine.clear_spill();
   }
 
-  // Tie-breaking demotion: when a distance-tied cohort (e.g. one BFS
-  // level) blows the frontier far past the target, no distance
-  // threshold can trim it — spill the surplus by count instead. The
-  // spilled vertices re-enter through later top-ups. The 2x trigger
-  // leaves ordinary wavefront overshoot (which Eq. 6 handles by
-  // distance) alone and fires only on genuine tie bursts.
-  const double overshoot_limit = 2.0 * controller.target_frontier_size();
-  if (static_cast<double>(engine.frontier_size()) > overshoot_limit) {
-    const auto keep = static_cast<std::size_t>(
-        std::max(1.0, controller.target_frontier_size()));
-    stats.rebalance_items += engine.demote_excess(keep);
-    far.push_bulk(engine.spill(), engine.distances());
-    engine.clear_spill();
-  }
-
   // Top-up: if the frontier is below the target X1 = P/d, consume far
   // partitions — each pre-sized to ~(P/d)/alpha distance units by Eq. 7 —
   // until the target is met or the queue is exhausted. This is both the

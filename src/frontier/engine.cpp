@@ -169,18 +169,6 @@ std::uint64_t NearFarEngine::demote(graph::Distance threshold) {
   return scanned;
 }
 
-std::uint64_t NearFarEngine::demote_excess(std::size_t keep) {
-  if (frontier_.size() <= keep) return 0;
-  const std::uint64_t spilled = frontier_.size() - keep;
-  spill_.insert(spill_.end(), frontier_.begin() + static_cast<std::ptrdiff_t>(keep),
-                frontier_.end());
-  frontier_.resize(keep);
-  frontier_max_distance_ = 0;
-  for (const graph::VertexId v : frontier_)
-    frontier_max_distance_ = std::max(frontier_max_distance_, dist_[v]);
-  return spilled;
-}
-
 void NearFarEngine::inject(std::span<const graph::VertexId> vertices) {
   reserve_within_budget(frontier_, frontier_.size() + vertices.size());
   for (const graph::VertexId v : vertices) {

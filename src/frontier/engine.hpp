@@ -75,12 +75,6 @@ class NearFarEngine {
   // into the spill buffer. Returns the number of vertices scanned.
   std::uint64_t demote(graph::Distance threshold);
 
-  // Count-limited rebalance-down for distance ties: keeps the first
-  // `keep` frontier vertices and spills the rest regardless of distance
-  // (they re-enter via the far queue later — correctness is unaffected,
-  // only scheduling). Returns the number of vertices spilled.
-  std::uint64_t demote_excess(std::size_t keep);
-
   // Appends far-queue vertices into the frontier. The caller must pass
   // only live (non-stale) vertices below the current threshold.
   void inject(std::span<const graph::VertexId> vertices);

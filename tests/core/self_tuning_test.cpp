@@ -176,6 +176,61 @@ TEST(SelfTuning, UnreachableVerticesStayInfinite) {
   EXPECT_EQ(r.distances[5], graph::kInfiniteDistance);
 }
 
+// Unit weights make every BFS level one distance tie, which no
+// threshold can split: the count-limited far-queue pulls alone hold X2
+// near the set-point. Runs start level-synchronous (delta 1).
+graph::CsrGraph unit_weight_copy(const graph::CsrGraph& g) {
+  return graph::CsrGraph({g.offsets().begin(), g.offsets().end()},
+                         {g.targets().begin(), g.targets().end()},
+                         std::vector<graph::Weight>(g.num_edges(), 1));
+}
+
+SelfTuningOptions unit_weight_options(double set_point) {
+  SelfTuningOptions options;
+  options.set_point = set_point;
+  options.initial_delta = 1.0;
+  return options;
+}
+
+TEST(SelfTuning, UnitWeightsExactAcrossSetPoints) {
+  const auto g = random_graph(1000, 4.0, 1, 62);
+  const auto expected = dijkstra_distances(g, 7);
+  for (const double p : {10.0, 500.0, 50000.0}) {
+    EXPECT_EQ(self_tuning_sssp(g, 7, unit_weight_options(p)).distances,
+              expected)
+        << "P=" << p;
+  }
+}
+
+TEST(SelfTuning, UnitWeightSmallSetPointCapsTieBursts) {
+  // On a scale-free graph the middle BFS levels are enormous; a small
+  // set-point must cap per-iteration work by postponing level slices.
+  const auto g = unit_weight_copy(
+      graph::make_dataset(graph::Dataset::kWiki, {.scale = 1.0 / 256.0}));
+  const auto src = graph::default_source(graph::Dataset::kWiki, g);
+  const auto capped = self_tuning_sssp(g, src, unit_weight_options(2000.0));
+  const auto uncapped = self_tuning_sssp(g, src, unit_weight_options(1e9));
+
+  auto peak_x2 = [](const algo::SsspResult& r) {
+    std::uint64_t peak = 0;
+    for (const auto& it : r.iterations) peak = std::max(peak, it.x2);
+    return peak;
+  };
+  EXPECT_LT(peak_x2(capped), peak_x2(uncapped) / 2);
+  // Capping trades burst size for more iterations.
+  EXPECT_GT(capped.num_iterations(), uncapped.num_iterations());
+  EXPECT_EQ(capped.distances, dijkstra_distances(g, src));
+}
+
+TEST(SelfTuning, UnitWeightGridWavefrontTracksSetPoint) {
+  const auto g = unit_weight_copy(
+      graph::make_dataset(graph::Dataset::kCal, {.scale = 1.0 / 64.0}));
+  const auto src = graph::default_source(graph::Dataset::kCal, g);
+  const auto r = self_tuning_sssp(g, src, unit_weight_options(2000.0));
+  EXPECT_EQ(r.distances, dijkstra_distances(g, src));
+  EXPECT_GT(r.average_parallelism(), 200.0);
+}
+
 // Exactness property sweep: arbitrary set-points must never break
 // correctness (the controller only shifts work, never skips it).
 struct TuningCase {

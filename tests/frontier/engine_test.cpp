@@ -114,23 +114,6 @@ TEST(NearFarEngine, ClearSpillResetsBuffer) {
   EXPECT_TRUE(engine.spill().empty());
 }
 
-TEST(NearFarEngine, DemoteExcessSpillsSurplusByCount) {
-  const CsrGraph g = diamond();
-  NearFarEngine engine(g, 0);
-  engine.advance_and_filter();
-  engine.bisect(kInfiniteDistance);  // frontier {1, 2}
-  EXPECT_EQ(engine.demote_excess(1), 1u);
-  EXPECT_EQ(engine.frontier_size(), 1u);
-  EXPECT_EQ(engine.spill().size(), 1u);
-  // Max distance refreshed over the kept prefix.
-  EXPECT_EQ(engine.frontier_max_distance(),
-            engine.distance(engine.frontier()[0]));
-  // No-op when already at or below the keep count.
-  engine.clear_spill();
-  EXPECT_EQ(engine.demote_excess(5), 0u);
-  EXPECT_TRUE(engine.spill().empty());
-}
-
 TEST(NearFarEngine, RunToCompletionMatchesHandComputedDistances) {
   const CsrGraph g = diamond();
   NearFarEngine engine(g, 0);
