@@ -53,23 +53,6 @@ std::optional<Ticket> AdmissionQueue::pop() {
   return popped;
 }
 
-std::vector<Ticket> AdmissionQueue::pop_matching(
-    const std::function<bool(const Ticket&)>& pred, std::size_t max_count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Ticket> matched;
-  if (max_count == 0) return matched;
-  for (auto it = queue_.begin();
-       it != queue_.end() && matched.size() < max_count;) {
-    if (pred(*it)) {
-      matched.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return matched;
-}
-
 void AdmissionQueue::close() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -11,8 +11,7 @@
 //                queries are likely to miss their deadlines anyway.
 // The queue does not look at deadlines: the server's execution path
 // sheds a query whose deadline passed while it was queued before it
-// does any work for it (docs/SERVING.md, "Execution path & query
-// coalescing").
+// does any work for it (docs/SERVING.md, "Execution path").
 //
 // Thread-safety: all operations are mutex-guarded; pop blocks on a
 // condition variable until a ticket arrives or the queue closes. The
@@ -73,17 +72,6 @@ class AdmissionQueue {
   // Blocks until a ticket is available or the queue is closed and
   // empty (nullopt — the worker's exit signal).
   std::optional<Ticket> pop();
-
-  // Non-blocking coalescing scan (docs/SERVING.md, "Execution path &
-  // query coalescing"): removes and returns up to `max_count` queued
-  // tickets matching `pred`, front to back, preserving the relative
-  // order of everything left behind. The predicate must be pure (it
-  // runs under the queue mutex). Used by workers to drain queries
-  // compatible with the one they just popped into the same execution;
-  // the returned tickets leave the queue exactly as a pop does, so the
-  // one-response-per-ticket accounting is unchanged.
-  std::vector<Ticket> pop_matching(
-      const std::function<bool(const Ticket&)>& pred, std::size_t max_count);
 
   // Stops admissions and wakes blocked poppers. Idempotent.
   void close();

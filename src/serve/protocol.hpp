@@ -69,9 +69,9 @@ struct Request {
   // Algorithm knobs (validated finite). Each is part of the cache key
   // only for the algorithms that read it.
   double set_point = 0.0;  // self-tuning only; 0 = server default
-  // Delta-stepping's bucket width and near-far's phase width (part of
-  // the coalescing key). 0 = the rounded mean weight for near-far and
-  // max weight / max out-degree for delta-stepping.
+  // Delta-stepping's bucket width and near-far's phase width. 0 = the
+  // rounded mean weight for near-far and max weight / max out-degree
+  // for delta-stepping.
   std::uint64_t delta = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
@@ -10,9 +9,10 @@
 #include "fault/failpoint.hpp"
 #include "obs/json.hpp"
 #include "res/budget.hpp"
-#include "sssp/batch_engine.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/near_far.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/certifier.hpp"
 
 namespace sssp::serve {
@@ -42,15 +42,22 @@ void record_hist(const char* name, double value) {
     obs::MetricsRegistry::global().histogram(name).record(value);
 }
 
+// workers == 0 selects one worker per thread of the global pool.
+ServerOptions resolve_workers(ServerOptions options) {
+  if (options.workers == 0)
+    options.workers = util::ThreadPool::global().size();
+  return options;
+}
+
 }  // namespace
 
 Server::Server(const graph::CsrGraph& graph, ServerOptions options)
     : graph_(graph),
-      options_(std::move(options)),
+      options_(resolve_workers(std::move(options))),
       fingerprint_(ckpt::graph_fingerprint(graph)),
       queue_(options_.queue_capacity, options_.shed_policy),
       cache_(options_.cache_entries, options_.cache_max_bytes),
-      active_controls_(std::max<std::size_t>(1, options_.workers)) {
+      active_controls_(options_.workers) {
   for (auto& slot : active_controls_) slot.store(nullptr);
 }
 
@@ -61,16 +68,14 @@ Server::~Server() {
 void Server::start() {
   if (started_.exchange(true)) return;
   start_time_ = Clock::now();
-  const std::size_t workers = std::max<std::size_t>(1, options_.workers);
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
+  workers_.reserve(options_.workers);
+  for (std::size_t i = 0; i < options_.workers; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 double Server::retry_after_ms_hint() const {
   const double per_query = ewma_run_ms_.load(std::memory_order_relaxed);
-  const double workers =
-      static_cast<double>(std::max<std::size_t>(1, options_.workers));
+  const double workers = static_cast<double>(options_.workers);
   const double depth = static_cast<double>(queue_.depth() + 1);
   return std::clamp(depth * per_query / workers, 10.0, 2000.0);
 }
@@ -121,7 +126,7 @@ void Server::submit(std::string_view line, ResponseSink sink) {
     response.num_edges = graph_.num_edges();
     response.graph_fingerprint = fingerprint_;
     response.queue_capacity = queue_.capacity();
-    response.workers = std::max<std::size_t>(1, options_.workers);
+    response.workers = options_.workers;
     response.cache_entries = cache_.capacity();
     response.draining = draining();
     respond_sink(sink, response);
@@ -146,9 +151,8 @@ void Server::submit(std::string_view line, ResponseSink sink) {
     response.has_health = true;
     response.role = "server";
     response.ready = ready;
-    response.workers_alive = ready ? std::max<std::size_t>(1, options_.workers)
-                                   : 0;
-    response.workers_total = std::max<std::size_t>(1, options_.workers);
+    response.workers_alive = ready ? options_.workers : 0;
+    response.workers_total = options_.workers;
     respond_sink(sink, response);
     return;
   }
@@ -234,135 +238,67 @@ void Server::submit(std::string_view line, ResponseSink sink) {
   }
 }
 
-bool Server::batchable(const Ticket& ticket) const {
-  if (ticket.request.cmd != "query") return false;
-  // Deadline-free only: a coalesced run has no per-lane interruption,
-  // so a tight deadline must not be hostage to its batchmates.
-  if (ticket.deadline != Clock::time_point::max()) return false;
-  const std::string& algorithm = ticket.request.algorithm.empty()
-                                     ? options_.default_algorithm
-                                     : ticket.request.algorithm;
-  return algorithm == "near-far";
-}
-
 void Server::worker_loop(std::size_t worker_id) {
   for (;;) {
     std::optional<Ticket> popped = queue_.pop();
     if (!popped.has_value()) return;  // closed and drained
-
-    // Query coalescing: drain queued queries compatible with the one
-    // just popped (same effective algorithm/delta/verify, deadline-free)
-    // into the same execution. The matched tickets left the queue
-    // exactly as a pop would, so in_flight_ covers the whole batch
-    // before any of it executes — drain sees them as running work, not
-    // lost slots.
-    std::vector<Ticket> batch;
-    batch.push_back(std::move(*popped));
-    if (options_.batch_max > 1 && batchable(batch.front())) {
-      const Request& head = batch.front().request;
-      const int head_verify = head.verify >= 0
-                                  ? head.verify
-                                  : (options_.verify_default ? 1 : 0);
-      std::vector<Ticket> matched = queue_.pop_matching(
-          [&](const Ticket& other) {
-            if (!batchable(other)) return false;
-            if (other.request.delta != head.delta) return false;
-            const int other_verify =
-                other.request.verify >= 0
-                    ? other.request.verify
-                    : (options_.verify_default ? 1 : 0);
-            return other_verify == head_verify;
-          },
-          std::min(options_.batch_max - 1, algo::kMaxBatchLanes - 1));
-      std::move(matched.begin(), matched.end(), std::back_inserter(batch));
-    }
     set_gauge("serve.queue.depth", static_cast<double>(queue_.depth()));
-
-    in_flight_.fetch_add(batch.size(), std::memory_order_acq_rel);
-    execute(batch, worker_id);
-    in_flight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
+    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    execute(*popped, worker_id);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
-void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
+void Server::execute(const Ticket& ticket, std::size_t worker_id) {
   const Clock::time_point exec_start = Clock::now();
-  // Every ticket's queue wait is recorded once, coalesced ones and a
-  // shed one included.
-  std::vector<double> queue_ms(batch.size(), 0.0);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    queue_ms[i] = ms_between(batch[i].admitted_at, exec_start);
-    queue_wait_ms_.record(queue_ms[i]);
-    record_hist("serve.queue_wait.ms", queue_ms[i]);
-  }
-  // Only a lone ticket can carry a deadline: batchable() coalesces
-  // deadline-free tickets only.
-  const Clock::time_point deadline = batch.front().deadline;
-  if (exec_start >= deadline) {
+  // Recorded once per ticket, a shed one included.
+  const double queue_ms = ms_between(ticket.admitted_at, exec_start);
+  queue_wait_ms_.record(queue_ms);
+  record_hist("serve.queue_wait.ms", queue_ms);
+  const Request& request = ticket.request;
+  if (exec_start >= ticket.deadline) {
     // Shed before execution: the deadline passed while queued.
     shed_expired_queue_.fetch_add(1, std::memory_order_relaxed);
     bump("serve.shed.expired");
-    Response response = make_shed(batch.front().request, Status::kExpired,
+    Response response = make_shed(request, Status::kExpired,
                                   "deadline expired in queue", false);
-    response.queue_ms = queue_ms.front();
-    respond(batch.front(), std::move(response));
+    response.queue_ms = queue_ms;
+    respond(ticket, std::move(response));
     return;
   }
-  if (batch.size() > 1) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-    bump("serve.batch.runs");
-    if (obs::metrics_enabled())
-      obs::MetricsRegistry::global().counter("serve.batch.queries")
-          .add(batch.size());
-  }
 
-  // Every ticket shares the head's effective algorithm, delta and
-  // verify flag (worker_loop's compatibility predicate).
-  const Request& head = batch.front().request;
-  const std::string algorithm = head.algorithm.empty()
+  const std::string algorithm = request.algorithm.empty()
                                     ? options_.default_algorithm
-                                    : head.algorithm;
-  const bool verify = head.verify >= 0 ? head.verify != 0
-                                       : options_.verify_default;
+                                    : request.algorithm;
+  const bool verify = request.verify >= 0 ? request.verify != 0
+                                          : options_.verify_default;
   const double set_point =
-      head.set_point > 0.0 ? head.set_point : options_.set_point;
+      request.set_point > 0.0 ? request.set_point : options_.set_point;
   // Key each algorithm by the options it reads, so queries that differ
   // only in an ignored delta or set-point share one entry.
   const bool reads_delta =
       algorithm == "near-far" || algorithm == "delta-stepping";
-  const std::string options_key = cache_options_key(
-      algorithm, reads_delta ? head.delta : 0,
+  CacheKey key;
+  key.fingerprint = fingerprint_;
+  key.source = request.source;
+  key.options_key = cache_options_key(
+      algorithm, reads_delta ? request.delta : 0,
       algorithm == "self-tuning" ? set_point : 0.0);
-  const auto key_for = [&](graph::VertexId source) {
-    CacheKey key;
-    key.fingerprint = fingerprint_;
-    key.source = source;
-    key.options_key = options_key;
-    return key;
-  };
 
-  // One response per ticket, on every path: `responded` tracks which
-  // tickets have been answered so the exception paths below can sweep
-  // up exactly the remainder.
-  std::vector<bool> responded(batch.size(), false);
-  const auto answer = [&](std::size_t i, Response&& response,
-                          double run_ms) {
-    response.id = batch[i].request.id;
-    response.queue_ms = queue_ms[i];
+  const auto answer = [&](Response&& response, double run_ms) {
+    response.id = request.id;
+    response.queue_ms = queue_ms;
     response.run_ms = run_ms;
-    responded[i] = true;
-    respond(batch[i], std::move(response));
+    respond(ticket, std::move(response));
   };
-  const auto fail = [&](std::size_t i, Status status, std::string error,
-                        double run_ms) {
+  const auto fail = [&](Status status, std::string error) {
     Response response;
     response.status = status;
     response.error = std::move(error);
-    answer(i, std::move(response), run_ms);
+    answer(std::move(response), ms_between(exec_start, Clock::now()));
   };
-  const auto succeed = [&](std::size_t i, const CacheEntry& entry,
-                           bool cache_hit, double run_ms) {
-    const Request& request = batch[i].request;
+  const auto succeed = [&](const CacheEntry& entry, bool cache_hit) {
+    const double run_ms = ms_between(exec_start, Clock::now());
     Response response;
     response.status = Status::kOk;
     response.algorithm = algorithm;
@@ -376,18 +312,18 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
     response.targets.reserve(request.targets.size());
     for (const graph::VertexId v : request.targets)
       response.targets.push_back(TargetDistance{v, entry.distance(v)});
-    const double total_ms = queue_ms[i] + run_ms;
+    const double total_ms = queue_ms + run_ms;
     latency_ms_.record(total_ms);
     record_hist("serve.latency.ms", total_ms);
     completed_.fetch_add(1, std::memory_order_relaxed);
     bump("serve.completed");
-    answer(i, std::move(response), run_ms);
+    answer(std::move(response), run_ms);
   };
 
   util::RunControl control;
-  if (deadline != Clock::time_point::max())
+  if (ticket.deadline != Clock::time_point::max())
     control.set_deadline(
-        std::chrono::duration<double>(deadline - exec_start).count());
+        std::chrono::duration<double>(ticket.deadline - exec_start).count());
   active_controls_[worker_id].store(&control, std::memory_order_release);
   // Clear the slot on every exit path so drain never pokes a dead
   // control.
@@ -400,147 +336,95 @@ void Server::execute(std::vector<Ticket>& batch, std::size_t worker_id) {
     if (SSSP_FAILPOINT("serve.handler.crash"))
       throw std::runtime_error("injected handler crash");
 
-    // Cache hits are answered up front. Each entry was certified once,
-    // when it was built; a hit compares the storage checksum taken then
-    // (catching the serve.cache.flip drill), whatever the verify flag.
-    // A verified query never takes an entry stored with verification
-    // waived. The misses dedup by source.
-    std::vector<graph::VertexId> sources;
-    std::vector<std::size_t> lane_of(batch.size(), 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const graph::VertexId source = batch[i].request.source;
-      const std::shared_ptr<const CacheEntry> hit =
-          cache_.lookup(key_for(source), /*certified_only=*/verify);
-      if (hit == nullptr) {
-        bump("serve.cache.miss");
-        const auto found = std::find(sources.begin(), sources.end(), source);
-        lane_of[i] = static_cast<std::size_t>(found - sources.begin());
-        if (found == sources.end()) sources.push_back(source);
-        continue;
-      }
+    // A hit serves an entry certified once, when it was built, after
+    // comparing the storage checksum taken then (catching the
+    // serve.cache.flip drill), whatever the verify flag. A verified
+    // query never takes an entry stored with verification waived.
+    const std::shared_ptr<const CacheEntry> hit =
+        cache_.lookup(key, /*certified_only=*/verify);
+    if (hit != nullptr) {
       bump("serve.cache.hit");
-      if (!hit->intact()) {
+      if (hit->intact()) {
+        succeed(*hit, /*cache_hit=*/true);
+      } else {
         // Poisoned cache entry: quarantine it so the next query for
         // this key recomputes instead of re-serving the corruption.
         certification_failures_.fetch_add(1, std::memory_order_relaxed);
         bump("serve.certification.failed");
         cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
         bump("serve.cache.poisoned");
-        cache_.invalidate(key_for(source));
-        fail(i, Status::kError,
+        cache_.invalidate(key);
+        fail(Status::kError,
              "cached result failed certification: storage checksum "
-             "mismatch",
-             ms_between(exec_start, Clock::now()));
-        continue;
+             "mismatch");
       }
-      succeed(i, *hit, /*cache_hit=*/true,
-              ms_between(exec_start, Clock::now()));
-    }
-
-    // One solve per distinct missed source. Near-far solves them all as
-    // the lanes of one run_batch, which runs a lone lane inline on this
-    // worker; the other algorithms never coalesce, so they have at most
-    // one source.
-    std::vector<algo::SsspResult> results;
-    if (!sources.empty()) {
+    } else {
+      bump("serve.cache.miss");
+      const graph::VertexId source = request.source;
+      const auto delta = static_cast<graph::Distance>(request.delta);
+      algo::SsspResult result;
       if (algorithm == "dijkstra") {
-        results.push_back(algo::dijkstra(graph_, sources.front()));
+        result = algo::dijkstra(graph_, source);
       } else if (algorithm == "delta-stepping") {
-        results.push_back(algo::delta_stepping(
-            graph_, sources.front(),
-            {.delta = static_cast<graph::Distance>(head.delta),
-             .control = &control}));
+        result = algo::delta_stepping(graph_, source,
+                                      {.delta = delta, .control = &control});
       } else if (algorithm == "self-tuning") {
         core::SelfTuningOptions st;
         st.set_point = set_point;
         st.control = &control;
-        results.push_back(
-            core::self_tuning_sssp(graph_, sources.front(), st));
+        result = core::self_tuning_sssp(graph_, source, st);
       } else {  // near-far (the validated default)
-        algo::BatchOptions nf;
-        nf.delta = static_cast<graph::Distance>(head.delta);
-        nf.control = &control;
-        results = algo::run_batch(graph_, sources, nf).lanes;
+        result = algo::near_far(graph_, source,
+                                {.delta = delta, .control = &control});
       }
-    }
 
-    // Certify each fresh result (parents included) and cache it as a
-    // slim entry. Only certified (or verification-waived) results enter
-    // the cache; the insert-side serve.cache.flip drill poisons *after*
-    // the entry's storage checksum is taken.
-    std::vector<std::shared_ptr<const CacheEntry>> entries(sources.size());
-    std::vector<std::string> lane_error(sources.size());
-    for (std::size_t l = 0; l < sources.size(); ++l) {
-      if (verify) {
-        const verify::Certificate certificate =
-            verify::certify(graph_, results[l]);
-        if (!certificate.certified) {
-          certification_failures_.fetch_add(1, std::memory_order_relaxed);
-          bump("serve.certification.failed");
-          lane_error[l] =
-              "result failed certification: " + certificate.summary();
-          continue;  // never cache a bad result
-        }
-      }
-      entries[l] = std::make_shared<const CacheEntry>(results[l], verify);
-      cache_.insert(key_for(sources[l]), entries[l]);
-    }
-
-    // Fan each fresh result out to every ticket that asked for it; they
-    // all report the run's run_ms.
-    const double run_ms = ms_between(exec_start, Clock::now());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      const std::size_t l = lane_of[i];
-      if (entries[l] == nullptr) {
-        fail(i, Status::kError, lane_error[l], run_ms);
-        continue;
-      }
-      maybe_sample(batch[i].request.id, sources[l], algorithm,
-                   results[l].iterations, /*batched=*/batch.size() > 1);
-      succeed(i, *entries[l], /*cache_hit=*/false, run_ms);
-    }
-    // The retry hint's per-query cost: this execution's time per ticket.
-    const double per_query_ms = ms_between(exec_start, Clock::now()) /
-                                static_cast<double>(batch.size());
-    const double prev = ewma_run_ms_.load(std::memory_order_relaxed);
-    ewma_run_ms_.store(0.8 * prev + 0.2 * per_query_ms,
-                       std::memory_order_relaxed);
-  } catch (const util::StopRequested& stopped) {
-    // One interruption fails the whole execution; every ticket not yet
-    // answered still gets its structured response.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      const double run_ms = ms_between(exec_start, Clock::now());
-      if (stopped.reason() == util::StopReason::kDeadline) {
-        expired_running_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.expired.running");
-        fail(i, Status::kExpired, "deadline expired during execution",
-             run_ms);
+      // Certify the fresh result (parents included) and cache it as a
+      // slim entry. Only certified (or verification-waived) results
+      // enter the cache; the insert-side serve.cache.flip drill poisons
+      // *after* the entry's storage checksum is taken.
+      const verify::Certificate certificate =
+          verify ? verify::certify(graph_, result) : verify::Certificate{};
+      if (verify && !certificate.certified) {
+        certification_failures_.fetch_add(1, std::memory_order_relaxed);
+        bump("serve.certification.failed");
+        fail(Status::kError,
+             "result failed certification: " + certificate.summary());
       } else {
-        drain_aborted_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.drain.aborted");
-        Response response;
-        response.status = Status::kShuttingDown;
-        response.error = "aborted by drain";
-        response.retry_after_ms = 1000.0;
-        answer(i, std::move(response), run_ms);
+        const auto entry = std::make_shared<const CacheEntry>(result, verify);
+        cache_.insert(key, entry);
+        maybe_sample(request.id, source, algorithm, result.iterations);
+        succeed(*entry, /*cache_hit=*/false);
       }
+    }
+    // The retry hint's per-query cost.
+    const double run_ms = ms_between(exec_start, Clock::now());
+    const double prev = ewma_run_ms_.load(std::memory_order_relaxed);
+    ewma_run_ms_.store(0.8 * prev + 0.2 * run_ms, std::memory_order_relaxed);
+  } catch (const util::StopRequested& stopped) {
+    if (stopped.reason() == util::StopReason::kDeadline) {
+      expired_running_.fetch_add(1, std::memory_order_relaxed);
+      bump("serve.expired.running");
+      fail(Status::kExpired, "deadline expired during execution");
+    } else {
+      drain_aborted_.fetch_add(1, std::memory_order_relaxed);
+      bump("serve.drain.aborted");
+      Response response;
+      response.status = Status::kShuttingDown;
+      response.error = "aborted by drain";
+      response.retry_after_ms = 1000.0;
+      answer(std::move(response), ms_between(exec_start, Clock::now()));
     }
   } catch (const std::exception& e) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      handler_errors_.fetch_add(1, std::memory_order_relaxed);
-      bump("serve.handler.error");
-      fail(i, Status::kError, e.what(), ms_between(exec_start, Clock::now()));
-    }
+    handler_errors_.fetch_add(1, std::memory_order_relaxed);
+    bump("serve.handler.error");
+    fail(Status::kError, e.what());
   }
 }
 
 void Server::maybe_sample(
     const std::string& id, graph::VertexId source,
     const std::string& algorithm,
-    const std::vector<frontier::IterationStats>& iterations, bool batched) {
+    const std::vector<frontier::IterationStats>& iterations) {
   if (options_.sample_reports == 0) return;
   std::lock_guard<std::mutex> lock(samples_mu_);
   if (samples_.size() >= options_.sample_reports) return;
@@ -548,7 +432,6 @@ void Server::maybe_sample(
   sample.id = id;
   sample.source = source;
   sample.algorithm = algorithm;
-  sample.batched = batched;
   sample.iterations = iterations;
   samples_.push_back(std::move(sample));
 }
@@ -625,8 +508,6 @@ ServerStats Server::stats() const {
   s.certification_failures =
       certification_failures_.load(std::memory_order_relaxed);
   s.cache_poisoned = cache_poisoned_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   s.queue_depth = queue_.depth();
   s.in_flight = in_flight_.load(std::memory_order_acquire);
@@ -659,15 +540,13 @@ void Server::write_report(std::ostream& out) const {
   w.key("queue_capacity").value(
       static_cast<std::uint64_t>(options_.queue_capacity));
   w.key("shed_policy").value(to_string(options_.shed_policy));
-  w.key("workers").value(static_cast<std::uint64_t>(
-      std::max<std::size_t>(1, options_.workers)));
+  w.key("workers").value(static_cast<std::uint64_t>(options_.workers));
   w.key("cache_entries").value(
       static_cast<std::uint64_t>(options_.cache_entries));
   w.key("default_deadline_ms").value(options_.default_deadline_ms);
   w.key("drain_ms").value(options_.drain_ms);
   w.key("verify_default").value(options_.verify_default);
   w.key("default_algorithm").value(options_.default_algorithm);
-  w.key("batch_max").value(static_cast<std::uint64_t>(options_.batch_max));
   w.key("sample_reports").value(
       static_cast<std::uint64_t>(options_.sample_reports));
   w.end_object();
@@ -691,8 +570,6 @@ void Server::write_report(std::ostream& out) const {
   w.key("handler_errors").value(s.handler_errors);
   w.key("certification_failures").value(s.certification_failures);
   w.key("cache_poisoned").value(s.cache_poisoned);
-  w.key("batches").value(s.batches);
-  w.key("batched_queries").value(s.batched_queries);
   w.key("queue_depth").value(static_cast<std::uint64_t>(s.queue_depth));
   w.key("in_flight").value(static_cast<std::uint64_t>(s.in_flight));
   w.end_object();
@@ -736,7 +613,6 @@ void Server::write_report(std::ostream& out) const {
       w.key("id").value(sample.id);
       w.key("source").value(static_cast<std::uint64_t>(sample.source));
       w.key("algorithm").value(sample.algorithm);
-      w.key("batched").value(sample.batched);
       w.key("iterations").begin_array();
       for (const frontier::IterationStats& it : sample.iterations) {
         w.begin_object();

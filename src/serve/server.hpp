@@ -5,9 +5,12 @@
 // an explicit robustness pipeline:
 //
 //   transport -> parse firewall -> admission queue (bounded, shed
-//   policy) -> worker pool (per-query concurrency cap) -> solve with a
-//   per-query util::RunControl deadline -> certification -> LRU result
-//   cache -> response
+//   policy) -> worker (one ticket at a time, one worker per pool thread
+//   by default) -> serial solve with a per-query util::RunControl
+//   deadline -> certification -> LRU result cache -> response
+//
+// Parallelism is across queries: each worker runs one serial solve at
+// a time (docs/SERVING.md, "Execution path").
 //
 // Invariants the chaos harness holds the server to:
 //   - every submitted request gets exactly one structured response
@@ -52,9 +55,11 @@ struct ServerOptions {
   // Admission queue capacity and overflow policy.
   std::size_t queue_capacity = 64;
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  // Per-query concurrency cap: at most this many queries execute at
-  // once (each may still use the global thread pool internally).
-  std::size_t workers = 2;
+  // Queries executing at once, each a serial solve on its own worker
+  // thread. 0 selects one worker per thread of util::ThreadPool::global(),
+  // resolved when the Server is constructed; options().workers then
+  // reads the resolved count.
+  std::size_t workers = 0;
   // LRU result-cache capacity in entries (0 disables caching).
   std::size_t cache_entries = 128;
   // Default per-query deadline when the request carries none (0 =
@@ -70,14 +75,6 @@ struct ServerOptions {
   std::string default_algorithm = "near-far";
   // Default self-tuning set-point for requests that do not set one.
   double set_point = 20000.0;
-  // Query coalescing (docs/SERVING.md, "Execution path & query
-  // coalescing"): a worker that pops a batchable near-far query
-  // additionally drains up to batch_max - 1 compatible queued queries
-  // (same effective algorithm, delta, and verify flag; deadline-free)
-  // into the same execution, which solves their distinct sources as the
-  // lanes of one batched run (sssp/batch_engine.hpp) and fans each
-  // result out to every ticket's response sink. 1 disables coalescing.
-  std::size_t batch_max = 8;
   // Capture the full per-iteration trace of the first N freshly solved
   // queries and publish them in the final report's "sampled_reports"
   // array (0 disables; bounded so a long-running server cannot grow
@@ -113,8 +110,10 @@ struct ServerStats {
   std::uint64_t handler_errors = 0;
   std::uint64_t certification_failures = 0;
   std::uint64_t cache_poisoned = 0;
-  std::uint64_t batches = 0;          // coalesced runs (>= 2 queries)
-  std::uint64_t batched_queries = 0;  // queries served by those runs
+  // Always 0. Kept only for its one reader, perfbench's
+  // serve.coalesced_share (perfbench/src/serve_phase.cpp); the next
+  // benchmark change deletes the stat and the metric together.
+  std::uint64_t batched_queries = 0;
   ResultCache::Stats cache;
   std::size_t queue_depth = 0;
   std::size_t in_flight = 0;
@@ -167,29 +166,20 @@ class Server {
   void write_report(std::ostream& out) const;
 
  private:
-  // Pops a ticket, coalesces the compatible queued ones behind it
-  // into one batch, and executes the batch; a lone query is a batch
-  // of one.
+  // Pops one ticket at a time and executes it.
   void worker_loop(std::size_t worker_id);
-  // The one execution path for popped queries. `batch` holds mutually
-  // compatible tickets (same effective algorithm, delta and verify
-  // flag); only a lone ticket may carry a deadline. Records every
-  // ticket's queue wait, sheds a lone ticket whose deadline passed in
-  // the queue, answers cache hits after comparing their storage
-  // checksums, solves each distinct missed source once (near-far
-  // through run_batch), certifies each fresh result, caches it as a
-  // slim entry, and fans it out. Exactly one response per ticket on every
-  // path — success, certification failure, deadline, drain
-  // interruption, or handler crash.
-  void execute(std::vector<Ticket>& batch, std::size_t worker_id);
-  // True when the ticket may be coalesced with others at all.
-  bool batchable(const Ticket& ticket) const;
+  // The one execution path for a popped query. Records its queue wait,
+  // sheds it if its deadline passed in the queue, answers a cache hit
+  // after comparing the entry's storage checksum, or solves serially,
+  // certifies the fresh result and caches it as a slim entry. Exactly
+  // one response on every path — success, certification failure,
+  // deadline, drain interruption, or handler crash.
+  void execute(const Ticket& ticket, std::size_t worker_id);
   // First N fresh solves capture their full iteration trace for the
   // report's "sampled_reports" section.
   void maybe_sample(const std::string& id, graph::VertexId source,
                     const std::string& algorithm,
-                    const std::vector<frontier::IterationStats>& iterations,
-                    bool batched);
+                    const std::vector<frontier::IterationStats>& iterations);
   void respond(const Ticket& ticket, Response&& response);
   void respond_sink(const ResponseSink& sink, const Response& response);
   double retry_after_ms_hint() const;
@@ -223,12 +213,11 @@ class Server {
       shed_expired_queue_{0}, shed_draining_{0}, shed_memory_{0},
       expired_running_{0},
       drain_aborted_{0}, handler_errors_{0}, certification_failures_{0},
-      cache_poisoned_{0}, batches_{0}, batched_queries_{0};
+      cache_poisoned_{0};
   struct SampledReport {
     std::string id;
     graph::VertexId source = 0;
     std::string algorithm;
-    bool batched = false;
     std::vector<frontier::IterationStats> iterations;
   };
   mutable std::mutex samples_mu_;

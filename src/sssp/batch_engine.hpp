@@ -5,16 +5,17 @@
 // K independent single-source near-far runs that share the CSR and the
 // global thread pool: each lane is a serial near-far run, and the
 // pool's dynamic chunk claiming IS the work-stealing between lanes.
-// This is where the engine's parallelism lives — across queries, not
+// Like the server's workers, it runs in parallel across queries, never
 // inside one advance.
 //
 // Determinism contract: every lane IS the corresponding single-source
 // near-far run, returned unchanged — distances, parents, improving
 // count and iteration trace are bit-identical to near_far() at any
 // thread count, and every lane passes the certifier. A lone lane runs
-// inline on the calling thread, so the server's one execution path
-// (serve/server.hpp) pays nothing for solving a lone query as a batch
-// of one.
+// inline on the calling thread. The server does not call run_batch: it
+// solves each query with near_far() on its own worker
+// (serve/server.hpp); perfbench's batch8 row and the soak's batched
+// leg do.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +34,8 @@ namespace sssp::algo {
 // BatchOptions::strategy by name; nothing in the library reads it.
 enum class BatchStrategy : std::uint8_t { kIndependent };
 
-// Lane cap per run_batch call: the server's coalescing limit. Callers
-// with more sources run several batches.
+// Lane cap per run_batch call. Callers with more sources run several
+// batches.
 inline constexpr std::size_t kMaxBatchLanes = 64;
 
 struct BatchOptions {

@@ -20,7 +20,9 @@
 #include "res/budget.hpp"
 #include "serve/socket.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/near_far.hpp"
 #include "tests/sssp/test_graphs.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sssp::serve {
 namespace {
@@ -120,19 +122,31 @@ TEST(ServerTest, IgnoredDeltaSharesTheCacheEntry) {
   EXPECT_EQ(server.stats().cache.entries, 1u);
 }
 
+// Every served algorithm, and near-far at an explicit delta, answers
+// exactly on its own solve path.
 TEST(ServerTest, TargetsComeBackExact) {
   const auto g = ring(16);  // dist(k) = k from source 0
   Server server(g, {});
   server.start();
   Collector c;
-  server.submit(query("t", 0, ",\"targets\":[3,7]"), c.sink());
-  ASSERT_TRUE(c.wait_for(1));
-  const Response r = c.responses[0];
-  ASSERT_EQ(r.status, Status::kOk);
-  ASSERT_EQ(r.targets.size(), 2u);
-  EXPECT_EQ(r.targets[0].vertex, 3u);
-  EXPECT_EQ(r.targets[0].distance, 3u);
-  EXPECT_EQ(r.targets[1].distance, 7u);
+  const std::vector<std::string> variants = {
+      "", ",\"delta\":5", ",\"algorithm\":\"dijkstra\"",
+      ",\"algorithm\":\"delta-stepping\",\"delta\":2",
+      ",\"algorithm\":\"self-tuning\""};
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    server.submit(query("t" + std::to_string(i), 0,
+                        ",\"targets\":[3,7]" + variants[i]),
+                  c.sink());
+    ASSERT_TRUE(c.wait_for(i + 1));
+    const Response r = c.responses[i];
+    ASSERT_EQ(r.status, Status::kOk) << variants[i] << ": " << r.error;
+    EXPECT_FALSE(r.cache_hit) << variants[i];
+    EXPECT_TRUE(r.certified) << variants[i];
+    ASSERT_EQ(r.targets.size(), 2u);
+    EXPECT_EQ(r.targets[0].vertex, 3u);
+    EXPECT_EQ(r.targets[0].distance, 3u);
+    EXPECT_EQ(r.targets[1].distance, 7u);
+  }
   server.drain();
 }
 
@@ -400,6 +414,52 @@ TEST(ServerTest, DrainShedsEverythingAndStops) {
   EXPECT_GT(c.responses.back().retry_after_ms, 0.0);
 }
 
+// The drain-deadline invariant with every worker busy: a zero-budget
+// drain interrupts four misses in flight on four workers, and each still
+// receives a structured response. No sink is lost.
+TEST(ServerTest, ShedMidDrainLosesNoResponseSink) {
+  // Big enough that the near-far solves are still in flight when drain
+  // fires.
+  const auto g = random_graph(200000, 8.0, 1000, 17);
+  ServerOptions options;
+  options.workers = 4;
+  options.drain_ms = 0.0;  // shed immediately
+  Server server(g, options);
+  Collector c;
+  const std::size_t n = 4;
+  for (std::size_t i = 0; i < n; ++i)
+    server.submit(query("q" + std::to_string(i),
+                        static_cast<graph::VertexId>(i * 1000)),
+                  c.sink());
+  server.start();
+  // Wait until every query is executing (or already answered), then
+  // pull the plug.
+  for (;;) {
+    const ServerStats stats = server.stats();
+    if (stats.in_flight + stats.completed >= n) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.drain();
+
+  ASSERT_TRUE(c.wait_for(n, 1000));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses, n);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+
+  std::lock_guard<std::mutex> lock(c.mu);
+  ASSERT_EQ(c.responses.size(), n);
+  std::vector<std::string> ids;
+  for (const Response& r : c.responses) {
+    ids.push_back(r.id);
+    EXPECT_TRUE(r.status == Status::kOk ||
+                r.status == Status::kShuttingDown)
+        << r.id << ": " << to_string(r.status);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::string>{"q0", "q1", "q2", "q3"}));
+}
+
 TEST(ServerTest, DrainIsIdempotentAndCleanWhenIdle) {
   const auto g = ring(16);
   Server server(g, {});
@@ -429,6 +489,121 @@ TEST(ServerTest, ReportIsValidJson) {
   EXPECT_EQ(totals->number_or("completed", -1), 1.0);
   ASSERT_NE(doc.find("latency_ms"), nullptr);
   ASSERT_NE(doc.find("drain"), nullptr);
+}
+
+// --sample-reports surfaces the full per-iteration arrays of the first
+// N fresh solves in the final report.
+TEST(ServerTest, SampleReportsSurfaceIterationArrays) {
+  const auto g = random_graph(1024, 4.0, 60, 7);
+  ServerOptions options;
+  options.workers = 1;
+  options.sample_reports = 2;
+  Server server(g, options);
+  Collector c;
+  server.submit(query("a", 3), c.sink());
+  server.submit(query("b", 9), c.sink());
+  server.submit(query("c", 21), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(3));
+  server.drain();
+
+  std::ostringstream out;
+  server.write_report(out);
+  const std::string report = out.str();
+  EXPECT_NE(report.find("\"sampled_reports\""), std::string::npos);
+  EXPECT_NE(report.find("\"id\":\"a\""), std::string::npos);
+  EXPECT_NE(report.find("\"x1\""), std::string::npos);
+  EXPECT_NE(report.find("\"improving_relaxations\""), std::string::npos);
+  // Capped at sample_reports = 2: the third query is not sampled.
+  EXPECT_EQ(report.find("\"id\":\"c\""), std::string::npos);
+}
+
+// Every executed ticket records one queue wait, and so does a ticket
+// shed because its deadline passed while it was queued.
+TEST(ServerTest, QueueWaitCountsEveryTicket) {
+  const auto g = random_graph(1024, 4.0, 60, 19);
+  ServerOptions options;
+  options.workers = 1;
+  Server server(g, options);
+  Collector c;
+  for (graph::VertexId s = 0; s < 5; ++s)
+    server.submit(query("q" + std::to_string(s), s * 11), c.sink());
+  // Queued behind five solves on the one worker, a 1 µs deadline has
+  // passed by the time the worker pops it.
+  server.submit(query("late", 7, ",\"deadline_ms\":0.001"), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(6));
+  server.drain();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses, 6u);
+  EXPECT_EQ(stats.completed, 5u);
+  EXPECT_EQ(stats.shed_expired_queue, 1u);
+  std::ostringstream out;
+  server.write_report(out);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(out.str(), doc)) << out.str();
+  const obs::JsonValue* queue_wait = doc.find("queue_wait_ms");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->number_or("count", -1), 6.0);
+}
+
+// workers = 0, the default, resolves to one worker per thread of the
+// global pool, and the options, info and the report all read it.
+TEST(ServerTest, DefaultWorkersFollowThePool) {
+  util::ThreadPool::set_global_threads(3);
+  struct RestorePool {
+    ~RestorePool() { util::ThreadPool::set_global_threads(0); }
+  } restore;
+  const auto g = ring(16);
+  Server server(g, ServerOptions{});
+  EXPECT_EQ(server.options().workers, 3u);
+  server.start();
+  Collector c;
+  server.submit(R"({"id":"i","cmd":"info"})", c.sink());
+  ASSERT_EQ(c.responses.size(), 1u);
+  EXPECT_EQ(c.responses[0].workers, 3u);
+  server.drain();
+
+  std::ostringstream out;
+  server.write_report(out);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(out.str(), doc)) << out.str();
+  const obs::JsonValue* report_options = doc.find("options");
+  ASSERT_NE(report_options, nullptr);
+  EXPECT_EQ(report_options->number_or("workers", -1), 3.0);
+}
+
+// Concurrent misses for one source each solve on their own worker; every
+// answer is certified and bit-identical to a direct near-far solve, and
+// the cache keeps one entry.
+TEST(ServerTest, DuplicateConcurrentMissesAgree) {
+  const auto g = random_graph(4096, 8.0, 100, 23);
+  const graph::VertexId source = 17;
+  const algo::SsspResult direct = algo::near_far(g, source);
+  const std::uint64_t expected_checksum = graph::fnv1a64(
+      direct.distances.data(),
+      direct.distances.size() * sizeof(graph::Distance));
+
+  ServerOptions options;
+  options.workers = 4;
+  Server server(g, options);
+  Collector c;
+  const std::size_t n = 8;
+  for (std::size_t i = 0; i < n; ++i)
+    server.submit(query("d" + std::to_string(i), source), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(n));
+  server.drain();
+
+  std::lock_guard<std::mutex> lock(c.mu);
+  ASSERT_EQ(c.responses.size(), n);
+  for (const Response& r : c.responses) {
+    EXPECT_EQ(r.status, Status::kOk) << r.id << ": " << r.error;
+    EXPECT_TRUE(r.certified) << r.id;
+    EXPECT_EQ(r.dist_checksum, expected_checksum) << r.id;
+  }
+  EXPECT_EQ(server.stats().cache.entries, 1u);
 }
 
 // --- socket transport ---------------------------------------------------

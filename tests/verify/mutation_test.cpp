@@ -123,8 +123,9 @@ TEST_P(MutationTest, AuditorStaysQuietOnHealthyRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, MutationTest, ::testing::Values(1, 4),
-                         [](const auto& info) {
-                           return "threads" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "threads" +
+                                  std::to_string(param_info.param);
                          });
 
 }  // namespace

@@ -289,9 +289,9 @@ int main(int argc, char** argv) {
     std::remove(ckpt_path.c_str());
     std::remove((ckpt_path + ".tmp").c_str());
 
-    // Batched leg (docs/SERVING.md, "Execution path & query
-    // coalescing"): survivors of a batched multi-source run certify per
-    // lane, exactly like single queries. A quarter of the rounds arm the
+    // Batched leg (docs/PERFORMANCE.md, "Batched multi-source"):
+    // survivors of a batched multi-source run certify per lane, exactly
+    // like single queries. A quarter of the rounds arm the
     // batch.lane.flip_dist drill; a drill round only passes when the
     // corrupted lane is CAUGHT (fails certification) while every other
     // lane certifies.

@@ -283,7 +283,9 @@ int main(int argc, char** argv) try {
   flags.define("queue-capacity", "16", "spawned server: admission capacity");
   flags.define("shed-policy", "reject-new",
                "spawned server: reject-new | drop-oldest");
-  flags.define("workers", "2", "spawned server: concurrent queries");
+  flags.define("workers", "0",
+               "spawned server: concurrent queries (0 = one per thread of "
+               "its pool)");
   flags.define("cache-entries", "32", "spawned server: result cache size");
   flags.define("drain-ms", "5000", "spawned server: drain budget");
   flags.define("server-report-out", "",

@@ -239,7 +239,7 @@ int run_worker(const graph::CsrGraph& g, serve::Server& server,
     ready.num_edges = g.num_edges();
     ready.graph_fingerprint = server.graph_fingerprint();
     ready.queue_capacity = server.options().queue_capacity;
-    ready.workers = std::max<std::size_t>(1, server.options().workers);
+    ready.workers = server.options().workers;
     ready.cache_entries = server.options().cache_entries;
     sink(ready);
   }
@@ -289,9 +289,9 @@ int main(int argc, char** argv) {
                "applies");
   flags.define("shed-policy", "reject-new",
                "overflow policy: reject-new | drop-oldest");
-  flags.define("workers", "2",
-               "queries executing concurrently (each may still use the "
-               "global thread pool internally)");
+  flags.define("workers", "0",
+               "queries executing concurrently, each a serial solve (0 = "
+               "one per thread of the --threads pool)");
   flags.define("cache-entries", "128",
                "LRU result-cache capacity in entries (0 = no cache)");
   flags.define("default-deadline-ms", "0",
@@ -307,9 +307,6 @@ int main(int argc, char** argv) {
                "dijkstra | delta-stepping | self-tuning");
   flags.define("set-point", "20000",
                "default self-tuning parallelism target");
-  flags.define("batch-max", "8",
-               "coalesce up to this many compatible queued near-far "
-               "queries into one batched run (1 disables)");
   flags.define("sample-reports", "0",
                "publish the full per-iteration trace of the first N "
                "freshly solved queries in the run report");
@@ -358,7 +355,7 @@ int main(int argc, char** argv) {
     flags.check_unknown();
     tools::enable_observability(flags);
     tools::enable_faults(flags);
-    tools::apply_threads_flag(flags);
+    const std::size_t pool_threads = tools::apply_threads_flag(flags);
     tools::apply_resource_flags(flags);
     // First signal: graceful drain. Second: hard exit 128+signo.
     util::install_signal_stop(control);
@@ -391,9 +388,6 @@ int main(int argc, char** argv) {
     options.verify_default = flags.get_bool("verify");
     options.default_algorithm = flags.get_string("default-algorithm");
     options.set_point = flags.get_double("set-point");
-    options.batch_max =
-        std::max<std::size_t>(1, static_cast<std::size_t>(
-                                     flags.get_int("batch-max")));
     options.sample_reports =
         static_cast<std::size_t>(flags.get_int("sample-reports"));
     options.cache_max_bytes =
@@ -431,6 +425,14 @@ int main(int argc, char** argv) {
       sup.crash_loop_window_s =
           static_cast<double>(flags.get_int("crash-loop-window-s"));
       sup.drain_ms = options.drain_ms;
+      // The fleet splits the cores instead of multiplying them: under
+      // --threads 0 each worker process gets its share of this process's
+      // pool, and with it its default --workers.
+      const std::string worker_threads =
+          flags.get_int("threads") != 0
+              ? flags.get_string("threads")
+              : std::to_string(std::max<std::size_t>(
+                    1, pool_threads / static_cast<std::size_t>(supervise)));
       sup.worker_command = {
           std::string(argv[0]),
           "--in", in,
@@ -444,8 +446,7 @@ int main(int argc, char** argv) {
           "--verify", options.verify_default ? "true" : "false",
           "--default-algorithm", options.default_algorithm,
           "--set-point", flags.get_string("set-point"),
-          "--batch-max", flags.get_string("batch-max"),
-          "--threads", flags.get_string("threads"),
+          "--threads", worker_threads,
           "--cache-max-mb", flags.get_string("cache-max-mb"),
           "--scrub-interval-ms", flags.get_string("scrub-interval-ms"),
           "--mem-budget-mb", flags.get_string("mem-budget-mb"),
@@ -533,7 +534,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(g.num_vertices()),
                  static_cast<unsigned long long>(g.num_edges()),
                  options.queue_capacity, to_string(options.shed_policy),
-                 options.workers, options.cache_entries,
+                 server.options().workers, options.cache_entries,
                  options.verify_default ? "on" : "off",
                  resident.is_mapped ? "mmap-shared" : "heap");
 
