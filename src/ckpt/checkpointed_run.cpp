@@ -114,7 +114,7 @@ CheckpointedResult run_self_tuning_checkpointed(
 
   if (((out.stop != util::StopReason::kNone && !out.stopped_mid_iteration) ||
        out.audit_aborted) &&
-      checkpointing && policy.final_on_stop) {
+      checkpointing) {
     // Clean boundary stop (or audit abort, which also lands on a
     // boundary): capture the freshest possible resume point.
     write_checkpoint();

@@ -27,11 +27,10 @@ struct CheckpointPolicy {
   // Write after every N completed iterations (0 = no iteration cadence).
   std::uint64_t every_iterations = 0;
   // Write when this much wall-clock has passed since the last write
-  // (0 = no time cadence).
+  // (0 = no time cadence). A run that stops early at a clean iteration
+  // boundary (deadline/stall/interrupt caught between steps, or an
+  // audit abort) always writes a final checkpoint.
   double every_seconds = 0.0;
-  // Write a final checkpoint when the run stops early at a clean
-  // iteration boundary (deadline/stall/interrupt caught between steps).
-  bool final_on_stop = true;
 };
 
 struct CheckpointedResult {
@@ -44,7 +43,7 @@ struct CheckpointedResult {
   bool stopped_mid_iteration = false;
   // True when the online invariant auditor tripped in audit-abort mode:
   // the run stopped at the (intact) iteration boundary, a final
-  // checkpoint was written if the policy allows, and result.distances
+  // checkpoint was written if checkpointing is on, and result.distances
   // are the partial state the auditor distrusted.
   bool audit_aborted = false;
   bool resumed = false;

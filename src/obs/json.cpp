@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -128,11 +129,13 @@ JsonWriter& JsonWriter::null() {
 }
 
 // ---------------------------------------------------------------------------
-// Validator
+// Parser
 // ---------------------------------------------------------------------------
 
 namespace {
 
+// Strict recursive descent over one complete document, building the
+// tree as it goes.
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
@@ -164,30 +167,40 @@ struct Parser {
     return true;
   }
 
-  bool string() {
+  // Appends the unescaped contents to `out`; \uXXXX escapes outside
+  // ASCII become '?'.
+  bool string(std::string& out) {
     if (!consume('"')) return false;
     while (!eof()) {
       const char c = text[pos++];
       if (c == '"') return true;
       if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (eof()) return false;
-        const char e = text[pos++];
-        switch (e) {
-          case '"': case '\\': case '/': case 'b': case 'f':
-          case 'n': case 'r': case 't':
-            break;
-          case 'u': {
-            for (int i = 0; i < 4; ++i) {
-              if (eof() || !std::isxdigit(static_cast<unsigned char>(peek())))
-                return false;
-              ++pos;
-            }
-            break;
-          }
-          default:
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (eof()) return false;
+      switch (text[pos++]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          unsigned code = 0;
+          const char* hex = text.data() + pos;
+          if (text.size() - pos < 4 ||
+              std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
             return false;
+          pos += 4;
+          out += code < 0x80 ? static_cast<char>(code) : '?';
+          break;
         }
+        default:
+          return false;
       }
     }
     return false;  // unterminated
@@ -199,7 +212,8 @@ struct Parser {
     return true;
   }
 
-  bool number() {
+  bool number(double& out) {
+    const std::size_t begin = pos;
     consume('-');
     if (consume('0')) {
       // no leading zeros
@@ -212,184 +226,73 @@ struct Parser {
       if (!eof() && (peek() == '+' || peek() == '-')) ++pos;
       if (!digits()) return false;
     }
+    out = std::strtod(std::string(text.substr(begin, pos - begin)).c_str(),
+                      nullptr);
     return true;
   }
 
-  bool value() {
+  bool value(JsonValue& out) {
     if (++depth > kMaxDepth) return false;
     skip_ws();
     if (eof()) return false;
     bool ok = false;
     switch (peek()) {
-      case '{': ok = object(); break;
-      case '[': ok = array(); break;
-      case '"': ok = string(); break;
-      case 't': ok = literal("true"); break;
-      case 'f': ok = literal("false"); break;
-      case 'n': ok = literal("null"); break;
-      default: ok = number(); break;
-    }
-    --depth;
-    return ok;
-  }
-
-  bool object() {
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      if (!value()) return false;
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool array() {
-    if (!consume('[')) return false;
-    skip_ws();
-    if (consume(']')) return true;
-    while (true) {
-      if (!value()) return false;
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text) {
-  Parser p{text};
-  if (!p.value()) return false;
-  p.skip_ws();
-  return p.eof();
-}
-
-// ---------------------------------------------------------------------------
-// Tree parser
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Builds a JsonValue tree on top of the validating primitives: each
-// leaf is validated by the Parser machinery first, then decoded from
-// the consumed slice, so both entry points accept exactly the same
-// language.
-struct TreeParser : Parser {
-  explicit TreeParser(std::string_view t) : Parser{t} {}
-
-  // Unescapes the contents of a string token already validated by
-  // Parser::string() (pos range excludes the quotes).
-  std::string decode_string(std::size_t begin, std::size_t end) const {
-    std::string out;
-    out.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      const char c = text[i];
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char e = text[++i];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          const unsigned code = static_cast<unsigned>(
-              std::stoul(std::string(text.substr(i + 1, 4)), nullptr, 16));
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          i += 4;
-          break;
-        }
-      }
-    }
-    return out;
-  }
-
-  bool parse_value(JsonValue& out) {
-    if (++depth > kMaxDepth) return false;
-    skip_ws();
-    if (eof()) return false;
-    bool ok = false;
-    switch (peek()) {
-      case '{': ok = parse_object(out); break;
-      case '[': ok = parse_array(out); break;
-      case '"': {
-        const std::size_t begin = pos + 1;
-        ok = string();
-        if (ok) {
-          out.type = JsonValue::Type::kString;
-          out.string = decode_string(begin, pos - 1);
-        }
+      case '{':
+        out.type = JsonValue::Type::kObject;
+        ok = object(out.object);
         break;
-      }
+      case '[':
+        out.type = JsonValue::Type::kArray;
+        ok = array(out.array);
+        break;
+      case '"':
+        out.type = JsonValue::Type::kString;
+        ok = string(out.string);
+        break;
       case 't':
-        ok = literal("true");
-        out.type = JsonValue::Type::kBool;
-        out.boolean = true;
-        break;
       case 'f':
-        ok = literal("false");
         out.type = JsonValue::Type::kBool;
-        out.boolean = false;
+        out.boolean = peek() == 't';
+        ok = literal(out.boolean ? "true" : "false");
         break;
       case 'n':
-        ok = literal("null");
         out.type = JsonValue::Type::kNull;
+        ok = literal("null");
         break;
-      default: {
-        const std::size_t begin = pos;
-        ok = number();
-        if (ok) {
-          out.type = JsonValue::Type::kNumber;
-          out.number = std::strtod(
-              std::string(text.substr(begin, pos - begin)).c_str(), nullptr);
-        }
+      default:
+        out.type = JsonValue::Type::kNumber;
+        ok = number(out.number);
         break;
-      }
     }
     --depth;
     return ok;
   }
 
-  bool parse_object(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
-    if (!consume('{')) return false;
+  bool object(std::map<std::string, JsonValue>& out) {
+    ++pos;  // '{'
     skip_ws();
     if (consume('}')) return true;
     while (true) {
       skip_ws();
-      const std::size_t begin = pos + 1;
-      if (!string()) return false;
-      std::string key = decode_string(begin, pos - 1);
+      std::string key;
+      if (!string(key)) return false;
       skip_ws();
       if (!consume(':')) return false;
-      if (!parse_value(out.object[std::move(key)])) return false;
+      JsonValue member;
+      if (!value(member)) return false;
+      out[std::move(key)] = std::move(member);  // a repeated key: last wins
       skip_ws();
       if (consume('}')) return true;
       if (!consume(',')) return false;
     }
   }
 
-  bool parse_array(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
-    if (!consume('[')) return false;
+  bool array(std::vector<JsonValue>& out) {
+    ++pos;  // '['
     skip_ws();
     if (consume(']')) return true;
     while (true) {
-      out.array.emplace_back();
-      if (!parse_value(out.array.back())) return false;
+      if (!value(out.emplace_back())) return false;
       skip_ws();
       if (consume(']')) return true;
       if (!consume(',')) return false;
@@ -401,10 +304,15 @@ struct TreeParser : Parser {
 
 bool parse_json(std::string_view text, JsonValue& out) {
   out = JsonValue{};
-  TreeParser p(text);
-  if (!p.parse_value(out)) return false;
+  Parser p{text};
+  if (!p.value(out)) return false;
   p.skip_ws();
   return p.eof();
+}
+
+bool json_valid(std::string_view text) {
+  JsonValue discarded;
+  return parse_json(text, discarded);
 }
 
 }  // namespace sssp::obs

@@ -58,9 +58,8 @@ class JsonWriter {
   std::string stack_;
 };
 
-// Strict recursive-descent validation of a complete JSON document
-// (single value, arbitrary nesting; depth-capped to keep the validator
-// itself safe on adversarial input). Returns true iff `text` parses.
+// True iff `text` is one complete JSON document: parse_json with the
+// tree discarded.
 bool json_valid(std::string_view text);
 
 // Parsed JSON document tree — enough for the serve protocol's request
@@ -100,10 +99,12 @@ struct JsonValue {
   }
 };
 
-// Parses a complete JSON document (same strictness and depth cap as
-// json_valid). Returns false leaving `out` unspecified on malformed
-// input; \uXXXX escapes outside ASCII are replaced with '?' (our
-// documents never emit them).
+// Strict recursive-descent parse of a complete JSON document (single
+// value, arbitrary nesting; depth-capped at 256 to keep the parser
+// itself safe on adversarial input). Returns false leaving `out`
+// unspecified on malformed input; \uXXXX escapes outside ASCII are
+// replaced with '?' (our documents never emit them), and a repeated
+// object key keeps its last value.
 bool parse_json(std::string_view text, JsonValue& out);
 
 }  // namespace sssp::obs

@@ -165,19 +165,19 @@ void Server::submit(std::string_view line, ResponseSink sink) {
     return;
   }
 
-  // Memory-aware admission: project the footprint of every query that
-  // could be solving or waiting if this one is admitted, and shed with
-  // a retry hint when it exceeds the process memory budget's headroom.
-  // Shedding here — before the queue — means overload never turns into
-  // an OOM kill mid-solve; the client retries exactly as it does for a
-  // full queue. Inert unless a budget limit is configured or the
-  // res.serve.admit failpoint is armed.
+  // Memory-aware admission (docs/ROBUSTNESS.md, "Resource budgets &
+  // exhaustion"): project the footprint of every query that could be
+  // solving or waiting if this one is admitted — the solve + response
+  // arrays, 2 × V × (sizeof dist + sizeof parent), per query — and
+  // shed kOverloaded with a retry hint when it exceeds the process
+  // memory budget's headroom. Shedding here — before the queue — means
+  // overload never turns into an OOM kill mid-solve; the client
+  // retries exactly as it does for a full queue. Inert unless a budget
+  // limit is configured or the res.serve.admit failpoint is armed.
   {
     const std::uint64_t footprint =
-        options_.query_footprint_bytes != 0
-            ? options_.query_footprint_bytes
-            : 2 * static_cast<std::uint64_t>(graph_.num_vertices()) *
-                  (sizeof(graph::Distance) + sizeof(graph::VertexId));
+        2 * static_cast<std::uint64_t>(graph_.num_vertices()) *
+        (sizeof(graph::Distance) + sizeof(graph::VertexId));
     const std::uint64_t projected =
         footprint * (in_flight_.load(std::memory_order_relaxed) +
                      queue_.depth() + 1);

@@ -80,16 +80,6 @@ struct ServerOptions {
   // array (0 disables; bounded so a long-running server cannot grow
   // the report without limit).
   std::size_t sample_reports = 0;
-  // Memory-aware admission (docs/ROBUSTNESS.md, "Resource budgets &
-  // exhaustion"): before queueing a query, the projected footprint of
-  // every query that could be solving or waiting — per-query bytes ×
-  // (in_flight + queue depth + 1) — is checked against the process
-  // memory budget; over budget sheds kOverloaded with retry_after_ms,
-  // mirroring the queue-depth shed. Per-query bytes default (0) to the
-  // solve + response arrays: 2 × V × (sizeof dist + sizeof parent).
-  // The check only bites when a budget limit is set or the
-  // res.serve.admit failpoint is armed.
-  std::uint64_t query_footprint_bytes = 0;
   // Byte bound for the result cache on top of cache_entries
   // (0 = unbounded). Evicts from the LRU tail.
   std::size_t cache_max_bytes = 0;

@@ -22,6 +22,14 @@ namespace sssp::serve {
 namespace {
 
 constexpr const char* kReadyId = "__sup_ready__";
+// Grace past a query's routing deadline before its worker is presumed
+// hung and SIGKILLed.
+constexpr double kHangGraceMs = 2000.0;
+// Cap on the doubling restart backoff; also the retry delay after a
+// failed spawn.
+constexpr double kRestartBackoffMaxMs = 5000.0;
+// Budget for start() to see the first worker become ready.
+constexpr double kStartTimeoutMs = 30000.0;
 
 void bump(const char* name) {
   if (obs::metrics_enabled())
@@ -276,7 +284,7 @@ void Supervisor::handle_worker_exit_locked(
           options_.restart_backoff_ms *
               static_cast<double>(1ULL << std::min(w.consecutive_crashes - 1,
                                                    20)),
-          options_.restart_backoff_max_ms);
+          kRestartBackoffMaxMs);
       w.restart_at = now + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
                                    backoff));
@@ -406,7 +414,7 @@ void Supervisor::route_locked(std::string seq_id, PendingQuery&& query,
           ? query.dispatched_at +
                 std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double, std::milli>(
-                        std::min(budget_ms, 1e12) + options_.hang_grace_ms))
+                        std::min(budget_ms, 1e12) + kHangGraceMs))
           : Clock::time_point{};
 
   Request forwarded = query.request;
@@ -568,7 +576,7 @@ void Supervisor::monitor_loop() {
         workers_[slot].restart_at =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
-                                   options_.restart_backoff_max_ms));
+                                   kRestartBackoffMaxMs));
       }
     }
   }
@@ -591,8 +599,7 @@ void Supervisor::start() {
   const bool up = ready_cv_.wait_for(
       lock,
       std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              options_.start_timeout_ms)),
+          std::chrono::duration<double, std::milli>(kStartTimeoutMs)),
       [this] {
         return std::any_of(workers_.begin(), workers_.end(),
                            [](const Worker& w) { return w.ready; });
@@ -601,7 +608,7 @@ void Supervisor::start() {
     lock.unlock();
     drain();
     throw ServeError("no worker became ready within " +
-                     std::to_string(options_.start_timeout_ms) + " ms");
+                     std::to_string(kStartTimeoutMs) + " ms");
   }
 }
 
@@ -847,7 +854,7 @@ void Supervisor::write_report(std::ostream& out) const {
       static_cast<std::int64_t>(options_.redispatch_budget));
   w.key("query_timeout_ms").value(options_.query_timeout_ms);
   w.key("restart_backoff_ms").value(options_.restart_backoff_ms);
-  w.key("restart_backoff_max_ms").value(options_.restart_backoff_max_ms);
+  w.key("restart_backoff_max_ms").value(kRestartBackoffMaxMs);
   w.key("crash_loop_k").value(
       static_cast<std::int64_t>(options_.crash_loop_k));
   w.key("crash_loop_window_s").value(options_.crash_loop_window_s);

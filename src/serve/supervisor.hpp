@@ -65,20 +65,17 @@ struct SupervisorOptions {
   int redispatch_budget = 3;
   // Routing deadline for queries that carry no deadline_ms of their
   // own (0 disables): a worker that holds a query longer than
-  // deadline + hang_grace_ms is presumed hung and SIGKILLed.
+  // deadline + 2 s of grace is presumed hung and SIGKILLed.
   double query_timeout_ms = 30000.0;
-  double hang_grace_ms = 2000.0;
   // Restart backoff: base doubles per consecutive crash of the same
-  // slot (reset when the replacement reports ready), capped.
+  // slot (reset when the replacement reports ready), capped at 5 s.
   double restart_backoff_ms = 100.0;
-  double restart_backoff_max_ms = 5000.0;
   // Crash-loop circuit breaker: this many crashes (any slot) within
   // the window trips it — no further restarts, pending work shed.
   int crash_loop_k = 5;
   double crash_loop_window_s = 30.0;
-  // Budget for start() to see the first worker become ready, and for
-  // drain() to see workers exit before SIGTERM/SIGKILL escalation.
-  double start_timeout_ms = 30000.0;
+  // Budget for drain() to see workers exit before SIGTERM/SIGKILL
+  // escalation.
   double drain_ms = 5000.0;
 };
 
@@ -117,9 +114,8 @@ class Supervisor {
 
   // Spawns the fleet and the monitor thread, then blocks until the
   // first worker reports ready (learning the graph shape for the parse
-  // firewall). Throws ServeError if no worker comes up within
-  // start_timeout_ms — the tool maps that to exit 15 like any other
-  // startup failure.
+  // firewall). Throws ServeError if no worker comes up within 30 s —
+  // the tool maps that to exit 15 like any other startup failure.
   void start();
 
   // Same contract as Server::submit: exactly one response per request,

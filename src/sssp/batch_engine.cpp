@@ -74,12 +74,7 @@ BatchResult run_batch(const graph::CsrGraph& graph,
   // over lanes is the work-stealing.
   util::ThreadPool::global().for_each_chunk(
       sources.size(), [&](std::size_t l, std::size_t) {
-        NearFarOptions nf;
-        nf.delta = options.delta;
-        nf.control = options.control;
-        nf.iteration_poll = false;  // shared control: stall bookkeeping
-                                    // is not thread-safe
-        out.lanes[l] = near_far(graph, sources[l], nf);
+        out.lanes[l] = near_far(graph, sources[l]);
       });
 
   // Single-lane mutation drill: corrupts lane 0's distance array after

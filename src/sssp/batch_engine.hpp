@@ -3,10 +3,10 @@
 //
 // Real traffic against a resident graph is many sources. A batch runs
 // K independent single-source near-far runs that share the CSR and the
-// global thread pool: each lane is a serial near-far run, and the
-// pool's dynamic chunk claiming IS the work-stealing between lanes.
-// Like the server's workers, it runs in parallel across queries, never
-// inside one advance.
+// global thread pool: each lane is a serial near_far(graph, source)
+// run at the default delta, and the pool's dynamic chunk claiming IS
+// the work-stealing between lanes. Like the server's workers, it runs
+// in parallel across queries, never inside one advance.
 //
 // Determinism contract: every lane IS the corresponding single-source
 // near-far run, returned unchanged — distances, parents, improving
@@ -25,7 +25,6 @@
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
 #include "sssp/result.hpp"
-#include "util/run_control.hpp"
 
 namespace sssp::algo {
 
@@ -40,13 +39,6 @@ inline constexpr std::size_t kMaxBatchLanes = 64;
 
 struct BatchOptions {
   BatchStrategy strategy = BatchStrategy::kIndependent;
-  // Phase width, passed to every lane unchanged. 0 selects near_far's
-  // default_delta, so batched lanes walk the same phase ladder as a
-  // single-source run with default delta.
-  graph::Distance delta = 0;
-  // Cooperative cancellation shared by every lane; polled inside each
-  // lane's advances. Not owned; may be null.
-  util::RunControl* control = nullptr;
 };
 
 struct BatchResult {

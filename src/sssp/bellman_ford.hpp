@@ -1,8 +1,9 @@
 // Frontier-based Bellman-Ford — the "maximum redundant work" end of the
-// SSSP design space, used as a comparison point. It is the near-far
-// loop at an infinite threshold (Dong et al., arXiv:2105.06145): every
-// improved vertex stays in the next frontier and the far queue stays
-// empty, so each iteration is one full Bellman-Ford round.
+// SSSP design space, used as a comparison point. It is the stepping
+// loop (sssp/stepping.cpp) at an infinite threshold (Dong et al.,
+// arXiv:2105.06145): every improved vertex stays in the next frontier
+// and the far queue stays empty, so each iteration is one full
+// Bellman-Ford round.
 #pragma once
 
 #include "graph/csr.hpp"

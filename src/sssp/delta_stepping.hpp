@@ -1,13 +1,14 @@
 // Delta-stepping (Meyer & Sanders, 2003) — the algorithm the near-far
 // method derives from, included as a second baseline and for
-// cross-validation. It runs the near-far engine one bucket of width
-// delta at a time and keeps its far work in a cyclic ring of buckets,
-// so moving to the next bucket scans only that bucket's entries.
-// Unlike Meyer & Sanders' formulation it does not split light from
-// heavy edges: a frontier vertex relaxes all its out-edges at once.
-// The ring holds max_weight / delta + 2 buckets; when that would exceed
-// max(num_vertices, 65536), the run is near-far's at the same delta,
-// which visits the same phases with one far queue.
+// cross-validation. It runs near-far's stepping loop (sssp/stepping.cpp)
+// one bucket of width delta at a time and keeps its far work in a
+// cyclic ring of buckets, so moving to the next bucket scans only that
+// bucket's entries. Unlike Meyer & Sanders' formulation it does not
+// split light from heavy edges: a frontier vertex relaxes all its
+// out-edges at once. The ring holds max_weight / delta + 2 buckets;
+// when that would exceed max(num_vertices, 65536), the same loop keeps
+// its far work in near-far's flat queue instead, which visits the same
+// phases.
 #pragma once
 
 #include "graph/csr.hpp"

@@ -1,6 +1,10 @@
 // The baseline near-far SSSP of Davidson et al. as implemented in
 // Gunrock (paper Section 3): a static user-chosen delta partitions the
 // frontier into a near queue (processed now) and a far queue (postponed).
+// The far queue is flat — one partition, scanned whole to find the next
+// phase — which is the stage-4 work the device model charges. It runs
+// the stepping loop it shares with delta-stepping and Bellman-Ford
+// (sssp/stepping.cpp).
 #pragma once
 
 #include "graph/csr.hpp"
@@ -16,12 +20,6 @@ struct NearFarOptions {
   // iteration and inside the engine stages; a stop request aborts the
   // run with util::StopRequested. Not owned; may be null.
   util::RunControl* control = nullptr;
-  // When false, the per-iteration control->poll_iteration() call is
-  // skipped: the stall watchdog's bookkeeping is not thread-safe, so
-  // runs sharing one RunControl across pool threads (the batch
-  // engine's independent lanes, sssp/batch_engine.hpp) disable it and
-  // rely on the engine's should_abort() polls, which are atomic.
-  bool iteration_poll = true;
 };
 
 // The default phase width: the mean edge weight rounded, at least 1 (a

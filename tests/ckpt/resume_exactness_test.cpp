@@ -180,7 +180,7 @@ TEST_F(ResumeDriverTest, DriverStopsAtBoundaryAndResumes) {
   const std::string path = temp_path("driver.ckpt");
 
   // A stop already pending when the driver polls lands on the iteration
-  // boundary: final_on_stop checkpoints there, nothing is torn.
+  // boundary: the final checkpoint is written there, nothing is torn.
   util::RunControl control;
   control.request_stop(util::StopReason::kInterrupt);
   CheckpointPolicy policy;

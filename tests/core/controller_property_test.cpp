@@ -59,9 +59,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.5, 5.0, 80.0),
                        ::testing::Values(1000.0, 50000.0)),
     [](const ::testing::TestParamInfo<Case>& tpi) {
-      return "d" + std::to_string(static_cast<int>(std::get<0>(tpi.param) * 10)) +
-             "_a" + std::to_string(static_cast<int>(std::get<1>(tpi.param) * 10)) +
-             "_P" + std::to_string(static_cast<long>(std::get<2>(tpi.param)));
+      return std::string("d")
+          .append(std::to_string(static_cast<int>(std::get<0>(tpi.param) * 10)))
+          .append("_a")
+          .append(std::to_string(static_cast<int>(std::get<1>(tpi.param) * 10)))
+          .append("_P")
+          .append(std::to_string(static_cast<long>(std::get<2>(tpi.param))));
     });
 
 TEST(ControllerClosedLoop, RecoversFromPlantShift) {

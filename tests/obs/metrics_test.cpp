@@ -110,7 +110,7 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableRefs) {
   // Creating more instruments must not invalidate earlier refs
   // (engine code caches them in function-local statics).
   for (int i = 0; i < 100; ++i)
-    registry.counter("c" + std::to_string(i));
+    registry.counter(std::string("c").append(std::to_string(i)));
   a.add(7);
   EXPECT_EQ(registry.counter("x").value(), 7u);
 }
@@ -146,7 +146,7 @@ TEST(MetricsRegistry, ConcurrentFindOrCreateIsSafe) {
   util::ThreadPool pool(8);
   pool.for_each_chunk(1000, [&](std::size_t i, std::size_t) {
     registry.counter("shared").add(1);
-    registry.counter("k" + std::to_string(i % 16)).add(1);
+    registry.counter(std::string("k").append(std::to_string(i % 16))).add(1);
   });
   EXPECT_EQ(registry.counter("shared").value(), 1000u);
 }

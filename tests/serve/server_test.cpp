@@ -134,7 +134,7 @@ TEST(ServerTest, TargetsComeBackExact) {
       ",\"algorithm\":\"delta-stepping\",\"delta\":2",
       ",\"algorithm\":\"self-tuning\""};
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    server.submit(query("t" + std::to_string(i), 0,
+    server.submit(query(std::string("t").append(std::to_string(i)), 0,
                         ",\"targets\":[3,7]" + variants[i]),
                   c.sink());
     ASSERT_TRUE(c.wait_for(i + 1));
@@ -190,7 +190,7 @@ TEST(ServerTest, OverloadShedsWithStructuredResponses) {
   Collector c;
   const std::size_t kFlood = 20;
   for (std::size_t i = 0; i < kFlood; ++i)
-    server.submit(query("f" + std::to_string(i),
+    server.submit(query(std::string("f").append(std::to_string(i)),
                         static_cast<graph::VertexId>(i)),
                   c.sink());
   // Exactly one response per submit — shed or executed, never dropped.
@@ -219,7 +219,7 @@ TEST(ServerTest, DropOldestDisplacesQueuedQuery) {
   server.start();
   Collector c;
   for (std::size_t i = 0; i < 10; ++i)
-    server.submit(query("d" + std::to_string(i),
+    server.submit(query(std::string("d").append(std::to_string(i)),
                         static_cast<graph::VertexId>(i)),
                   c.sink());
   ASSERT_TRUE(c.wait_for(10));
@@ -396,7 +396,7 @@ TEST(ServerTest, DrainShedsEverythingAndStops) {
   Collector c;
   const std::size_t kSubmitted = 8;
   for (std::size_t i = 0; i < kSubmitted; ++i)
-    server.submit(query("s" + std::to_string(i),
+    server.submit(query(std::string("s").append(std::to_string(i)),
                         static_cast<graph::VertexId>(i)),
                   c.sink());
   server.drain();
@@ -428,7 +428,7 @@ TEST(ServerTest, ShedMidDrainLosesNoResponseSink) {
   Collector c;
   const std::size_t n = 4;
   for (std::size_t i = 0; i < n; ++i)
-    server.submit(query("q" + std::to_string(i),
+    server.submit(query(std::string("q").append(std::to_string(i)),
                         static_cast<graph::VertexId>(i * 1000)),
                   c.sink());
   server.start();
@@ -527,7 +527,8 @@ TEST(ServerTest, QueueWaitCountsEveryTicket) {
   Server server(g, options);
   Collector c;
   for (graph::VertexId s = 0; s < 5; ++s)
-    server.submit(query("q" + std::to_string(s), s * 11), c.sink());
+    server.submit(query(std::string("q").append(std::to_string(s)), s * 11),
+                  c.sink());
   // Queued behind five solves on the one worker, a 1 µs deadline has
   // passed by the time the worker pops it.
   server.submit(query("late", 7, ",\"deadline_ms\":0.001"), c.sink());
@@ -591,7 +592,8 @@ TEST(ServerTest, DuplicateConcurrentMissesAgree) {
   Collector c;
   const std::size_t n = 8;
   for (std::size_t i = 0; i < n; ++i)
-    server.submit(query("d" + std::to_string(i), source), c.sink());
+    server.submit(query(std::string("d").append(std::to_string(i)), source),
+                  c.sink());
   server.start();
   ASSERT_TRUE(c.wait_for(n));
   server.drain();

@@ -51,8 +51,8 @@ TEST(WorkloadIo, RoundTrip) {
 
 TEST(WorkloadIo, EmptyWorkloadRoundTrips) {
   RunWorkload w;
-  w.algorithm = "x";
-  w.dataset = "y";
+  w.algorithm.assign(1, 'x');
+  w.dataset.assign(1, 'y');
   std::stringstream buffer;
   save_workload_csv(w, buffer);
   const RunWorkload loaded = load_workload_csv(buffer);

@@ -512,7 +512,8 @@ int main(int argc, char** argv) try {
 
   const auto send_query = [&](std::size_t qi) {
     Query& q = queries[qi];
-    const std::string id = "q" + std::to_string(id_counter++);
+    const std::string id =
+        std::string("q").append(std::to_string(id_counter++));
     if (!q.current_id.empty()) id_to_query.erase(q.current_id);
     q.current_id = id;
     id_to_query[id] = qi;
